@@ -107,9 +107,12 @@ func radix2(x []complex128, inverse bool) {
 // exponentials plus one radix-2 transform — the majority of a
 // Bluestein call — so plans are cached: the detect pipeline transforms
 // the same non-power-of-two padded length dozens of times per request.
+// The plan also pools the m-long work buffers of its transforms, so a
+// warm Bluestein call allocates nothing.
 type chirpPlan struct {
 	chirp []complex128 // exp(sign·iπt²/n), t < n
 	bhat  []complex128 // FFT of the chirp filter, length m
+	work  sync.Pool    // *[]complex128 of length m
 }
 
 type chirpKey struct {
@@ -144,6 +147,10 @@ func getChirpPlan(n, m int, inverse bool) *chirpPlan {
 	p := &chirpPlan{
 		chirp: make([]complex128, n),
 		bhat:  make([]complex128, m),
+	}
+	p.work.New = func() any {
+		buf := make([]complex128, m)
+		return &buf
 	}
 	for t := 0; t < n; t++ {
 		sq := (int64(t) * int64(t)) % int64(2*n)
@@ -186,10 +193,12 @@ func bluestein(x []complex128, inverse bool) {
 		m <<= 1
 	}
 	p := getChirpPlan(n, m, inverse)
-	a := make([]complex128, m)
+	buf := p.work.Get().(*[]complex128)
+	a := *buf
 	for t := 0; t < n; t++ {
 		a[t] = x[t] * p.chirp[t]
 	}
+	clear(a[n:])
 	radix2(a, false)
 	for i := range a {
 		a[i] *= p.bhat[i]
@@ -199,6 +208,7 @@ func bluestein(x []complex128, inverse bool) {
 	for t := 0; t < n; t++ {
 		x[t] = a[t] * scale * p.chirp[t]
 	}
+	p.work.Put(buf)
 }
 
 // FFTReal returns the DFT of a real-valued series as a full-length

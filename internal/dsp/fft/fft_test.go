@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -355,6 +356,52 @@ func TestFFTLinearityProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestBluesteinPooledBufferConcurrent runs Bluestein transforms of one
+// input from many goroutines at once, so pooled work buffers pass
+// between calls and goroutines: every output must be bit-identical to
+// the first call's, whatever a reused buffer held before.
+func TestBluesteinPooledBufferConcurrent(t *testing.T) {
+	for _, n := range []int{6, 336, 1000, 1152} {
+		x := randComplex(rand.New(rand.NewSource(int64(n))), n)
+		want := FFT(x)
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 20; i++ {
+					got := FFT(x)
+					for k := range got {
+						if got[k] != want[k] {
+							t.Errorf("n=%d: call %d bin %d = %v, want %v", n, i, k, got[k], want[k])
+							return
+						}
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	}
+}
+
+// TestBluesteinWarmTransformAllocatesNothing pins the pooled work
+// buffer: once a length's chirp plan is cached, an in-place transform
+// of a non-power-of-two length allocates nothing. (Under -race,
+// sync.Pool drops a quarter of its Puts at random; the integer
+// average AllocsPerRun reports still reads 0.)
+func TestBluesteinWarmTransformAllocatesNothing(t *testing.T) {
+	in := randComplex(rand.New(rand.NewSource(3)), 1152)
+	x := make([]complex128, len(in))
+	transform := func() {
+		copy(x, in)
+		Transform(x)
+	}
+	transform()
+	if allocs := testing.AllocsPerRun(200, transform); allocs != 0 {
+		t.Fatalf("warm Bluestein Transform allocated %.0f objects per run, want 0", allocs)
 	}
 }
 

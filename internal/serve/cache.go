@@ -8,7 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"robustperiod"
 	"robustperiod/internal/faults"
 )
 
@@ -42,7 +41,7 @@ func requestKey(series []float64, optsTag []byte) cacheKey {
 	return cacheKey{h1: a.Sum64(), h2: b.Sum64(), n: len(series)}
 }
 
-// resultCache is a strict-LRU memo of detection results, safe for
+// resultCache is a strict-LRU memo of detection answers, safe for
 // concurrent use. A nil *resultCache is a valid always-miss cache.
 type resultCache struct {
 	mu          sync.Mutex
@@ -54,10 +53,10 @@ type resultCache struct {
 
 type cacheEntry struct {
 	key cacheKey
-	res *robustperiod.Result
+	ans *answer
 }
 
-// newResultCache returns a cache holding at most capacity results;
+// newResultCache returns a cache holding at most capacity answers;
 // capacity <= 0 disables caching (returns nil).
 func newResultCache(capacity int) *resultCache {
 	if capacity <= 0 {
@@ -70,8 +69,8 @@ func newResultCache(capacity int) *resultCache {
 	}
 }
 
-// get returns the cached result for k, refreshing its recency.
-func (c *resultCache) get(k cacheKey) (*robustperiod.Result, bool) {
+// get returns the cached answer for k, refreshing its recency.
+func (c *resultCache) get(k cacheKey) (*answer, bool) {
 	if c == nil {
 		return nil, false
 	}
@@ -92,12 +91,12 @@ func (c *resultCache) get(k cacheKey) (*robustperiod.Result, bool) {
 		return nil, false
 	}
 	c.ll.MoveToFront(el)
-	return el.Value.(*cacheEntry).res, true
+	return el.Value.(*cacheEntry).ans, true
 }
 
-// add inserts (or refreshes) a result, evicting the least recently
+// add inserts (or refreshes) an answer, evicting the least recently
 // used entry when over capacity.
-func (c *resultCache) add(k cacheKey, res *robustperiod.Result) {
+func (c *resultCache) add(k cacheKey, a *answer) {
 	if c == nil {
 		return
 	}
@@ -105,10 +104,10 @@ func (c *resultCache) add(k cacheKey, res *robustperiod.Result) {
 	defer c.mu.Unlock()
 	if el, ok := c.items[k]; ok {
 		c.ll.MoveToFront(el)
-		el.Value.(*cacheEntry).res = res
+		el.Value.(*cacheEntry).ans = a
 		return
 	}
-	el := c.ll.PushFront(&cacheEntry{key: k, res: res})
+	el := c.ll.PushFront(&cacheEntry{key: k, ans: a})
 	c.items[k] = el
 	if c.ll.Len() > c.cap {
 		oldest := c.ll.Back()

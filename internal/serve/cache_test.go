@@ -6,8 +6,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"robustperiod"
 )
 
 func keyOf(seed float64) cacheKey {
@@ -16,7 +14,7 @@ func keyOf(seed float64) cacheKey {
 
 func TestLRUEvictionOrder(t *testing.T) {
 	c := newResultCache(2)
-	ra, rb, rc := &robustperiod.Result{}, &robustperiod.Result{}, &robustperiod.Result{}
+	ra, rb, rc := &answer{}, &answer{}, &answer{}
 	ka, kb, kc := keyOf(1), keyOf(2), keyOf(3)
 
 	c.add(ka, ra)
@@ -43,8 +41,8 @@ func TestLRUEvictionOrder(t *testing.T) {
 func TestLRURefreshExisting(t *testing.T) {
 	c := newResultCache(2)
 	k := keyOf(4)
-	r1 := &robustperiod.Result{}
-	r2 := &robustperiod.Result{Periods: []int{7}}
+	r1 := &answer{}
+	r2 := &answer{Periods: []int{7}}
 	c.add(k, r1)
 	c.add(k, r2)
 	if c.len() != 1 {
@@ -60,7 +58,7 @@ func TestNilCacheIsAlwaysMiss(t *testing.T) {
 	if _, ok := c.get(keyOf(5)); ok {
 		t.Error("nil cache returned a hit")
 	}
-	c.add(keyOf(5), &robustperiod.Result{}) // must not panic
+	c.add(keyOf(5), &answer{}) // must not panic
 	if c.len() != 0 {
 		t.Error("nil cache has entries")
 	}

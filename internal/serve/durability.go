@@ -1,17 +1,14 @@
 // WAL codec for the async job store: how serve-layer payloads and
 // results cross a process restart. Payloads persist the validated
 // request (series + wire options + details flag) and recompute the
-// cache fingerprint on decode; results persist the wire-form answer
-// (periods, level details, degradations, filled fraction) rather
-// than the full pipeline Result, which carries non-serializable
-// trace state and far more intermediate data than a poll needs.
+// cache fingerprint on decode. Results persist the answer itself —
+// the same value the result cache and the status handler hold — so a
+// job restored after a restart is indistinguishable from a live one.
 package serve
 
 import (
 	"encoding/json"
 	"fmt"
-
-	"robustperiod"
 )
 
 // persistedPayload is the durable form of a jobPayload.
@@ -19,18 +16,6 @@ type persistedPayload struct {
 	Series  []float64   `json:"series"`
 	Options *APIOptions `json:"options,omitempty"`
 	Details bool        `json:"details,omitempty"`
-}
-
-// persistedResult is the durable form of a finished detection: the
-// wire-level answer a status poll needs, detached from the in-memory
-// pipeline Result. Levels are always encoded; the status handler
-// gates them on the restored payload's details flag, mirroring the
-// in-memory path.
-type persistedResult struct {
-	Periods        []int                      `json:"periods"`
-	Levels         []LevelDetail              `json:"levels,omitempty"`
-	Degraded       []robustperiod.Degradation `json:"degraded,omitempty"`
-	FilledFraction float64                    `json:"filledFraction,omitempty"`
 }
 
 // walCodec implements jobs.Codec for the serve layer.
@@ -64,26 +49,17 @@ func (walCodec) DecodePayload(data []byte) (any, error) {
 }
 
 func (walCodec) EncodeResult(res any) ([]byte, error) {
-	switch r := res.(type) {
-	case *robustperiod.Result:
-		return json.Marshal(persistedResult{
-			Periods:        nonNil(r.Periods),
-			Levels:         resultLevels(r),
-			Degraded:       r.Degraded,
-			FilledFraction: r.FilledFraction,
-		})
-	case *persistedResult:
-		// A recovered job's result compacting back into a snapshot.
-		return json.Marshal(r)
-	default:
+	a, ok := res.(*answer)
+	if !ok {
 		return nil, fmt.Errorf("serve: cannot persist result of type %T", res)
 	}
+	return json.Marshal(a)
 }
 
 func (walCodec) DecodeResult(data []byte) (any, error) {
-	var pr persistedResult
-	if err := json.Unmarshal(data, &pr); err != nil {
+	var a answer
+	if err := json.Unmarshal(data, &a); err != nil {
 		return nil, fmt.Errorf("serve: decode persisted result: %w", err)
 	}
-	return &pr, nil
+	return &a, nil
 }

@@ -327,9 +327,11 @@ func validateSeries(series []float64, maxLen int, allowNaN bool) *APIError {
 	return nil
 }
 
-// detOut is a worker's answer to one detection job.
+// detOut is a worker's answer to one detection job, with the stage
+// trace of the run that produced it.
 type detOut struct {
-	res *robustperiod.Result
+	ans *answer
+	tr  *robustperiod.TraceSummary
 	err error
 }
 
@@ -337,21 +339,22 @@ type detOut struct {
 // DetectDetailsContext, then cache fill. It reports whether the
 // answer came from the cache. Every computed (non-cached) detection
 // runs with a stage trace attached — the per-stage wall times feed
-// the stage_latency_ms histograms, and ?debug=1 responses inline the
-// summary. bypassCache skips both cache read and fill, so a debug
-// request always reports timings of an actual run, never a memoized
-// result.
-func (s *Server) runDetection(ctx context.Context, series []float64, apiOpts *APIOptions, bypassCache bool) (*robustperiod.Result, bool, error) {
+// the stage_latency_ms histograms, and ?debug=1 responses and the
+// flight recorder carry the summary, which is returned beside the
+// answer and never cached: a cache hit has no trace. bypassCache
+// skips both cache read and fill, so a debug request always reports
+// timings of an actual run, never a memoized result.
+func (s *Server) runDetection(ctx context.Context, series []float64, apiOpts *APIOptions, bypassCache bool) (*answer, *robustperiod.TraceSummary, bool, error) {
 	opts, err := apiOpts.toOptions()
 	if err != nil {
-		return nil, false, &APIError{Code: "bad_options", Message: err.Error()}
+		return nil, nil, false, &APIError{Code: "bad_options", Message: err.Error()}
 	}
 	var key cacheKey
 	if !bypassCache {
 		key = requestKey(series, apiOpts.canonicalTag())
-		if res, ok := s.cache.get(key); ok {
+		if a, ok := s.cache.get(key); ok {
 			s.metrics.cacheHits.Add(1)
-			return res, true, nil
+			return a, nil, true, nil
 		}
 		s.metrics.cacheMisses.Add(1)
 	}
@@ -403,30 +406,32 @@ func (s *Server) runDetection(ctx context.Context, series []float64, apiOpts *AP
 		if spanRec != nil {
 			spanRec.AddSpan(registry.SpanJobExec, rootID, jobStart, time.Since(jobStart))
 		}
-		if err == nil {
-			s.observeJobTime(time.Since(jobStart))
+		if err != nil {
+			out <- detOut{err: err}
+			return
 		}
-		out <- detOut{res: res, err: err}
+		s.observeJobTime(time.Since(jobStart))
+		out <- detOut{ans: newAnswer(res), tr: res.Trace}
 	}
 	if err := s.pool.submit(ctx, job); err != nil {
-		return nil, false, err
+		return nil, nil, false, err
 	}
 	o := <-out
 	if o.err != nil {
-		return nil, false, o.err
+		return nil, nil, false, o.err
 	}
-	if len(o.res.Degraded) > 0 {
+	if len(o.ans.Degraded) > 0 {
 		s.metrics.degradedTotal.Add(1)
 	}
 	exTrace := ""
 	if spanRec != nil {
 		exTrace = spanRec.Context().TraceIDString()
 	}
-	s.metrics.observeStages(o.res.Trace, exTrace)
+	s.metrics.observeStages(o.tr, exTrace)
 	if !bypassCache {
-		s.cache.add(key, o.res)
+		s.cache.add(key, o.ans)
 	}
-	return o.res, false, nil
+	return o.ans, o.tr, false, nil
 }
 
 // workerPanicError wraps a panic recovered inside a detection worker.
@@ -473,11 +478,36 @@ func toAPIError(err error) (int, *APIError) {
 	}
 }
 
-func resultLevels(res *robustperiod.Result) []LevelDetail {
-	levels := make([]LevelDetail, 0, len(res.Levels))
+// answer is what a finished detection leaves behind: the periods, the
+// full Fig. 5 level table whatever the first caller's details flag,
+// the degradations and the filled fraction. The result cache, the job
+// store, the WAL and every response body share it. The pipeline's
+// spectra, intermediate series and stage trace stay behind, so an
+// answer grows only with the wavelet level count (64 bytes a level)
+// and stays around a kilobyte at most. Its JSON form is the result of
+// a WAL finish or job record, so the tags must not change.
+type answer struct {
+	Periods        []int                      `json:"periods"`
+	Levels         []LevelDetail              `json:"levels,omitempty"`
+	Degraded       []robustperiod.Degradation `json:"degraded,omitempty"`
+	FilledFraction float64                    `json:"filledFraction,omitempty"`
+}
+
+// newAnswer converts a pipeline Result where its detection finishes.
+// Periods are never nil, for stable JSON ("periods":[], not null).
+func newAnswer(res *robustperiod.Result) *answer {
+	a := &answer{
+		Periods:        res.Periods,
+		Levels:         make([]LevelDetail, 0, len(res.Levels)),
+		Degraded:       res.Degraded,
+		FilledFraction: res.FilledFraction,
+	}
+	if a.Periods == nil {
+		a.Periods = []int{}
+	}
 	for _, lv := range res.Levels {
 		d := lv.Detection
-		levels = append(levels, LevelDetail{
+		a.Levels = append(a.Levels, LevelDetail{
 			Level:     lv.Level,
 			Variance:  lv.Variance.Variance,
 			Selected:  lv.Selected,
@@ -488,16 +518,17 @@ func resultLevels(res *robustperiod.Result) []LevelDetail {
 			Periodic:  d.Periodic,
 		})
 	}
-	return levels
+	return a
 }
 
-// nonNil maps a nil period slice to an empty one, for stable JSON
-// ("periods":[] rather than "periods":null).
-func nonNil(p []int) []int {
-	if p == nil {
-		return []int{}
+// response renders the answer as a response body, with the level
+// table only for a caller that asked for details.
+func (a *answer) response(details bool) *DetectResponse {
+	r := &DetectResponse{Periods: a.Periods, Degraded: a.Degraded, FilledFraction: a.FilledFraction}
+	if details {
+		r.Levels = a.Levels
 	}
-	return p
+	return r
 }
 
 // handleDetect serves POST /v1/detect.
@@ -539,7 +570,7 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 	// request bypasses the result cache so the timings describe a real
 	// run of this exact request.
 	debug := r.URL.Query().Get("debug") == "1"
-	res, cached, err := s.runDetection(ctx, req.Series, req.Options, debug)
+	a, tr, cached, err := s.runDetection(ctx, req.Series, req.Options, debug)
 	if err != nil {
 		status, apiErr := toAPIError(err)
 		if scope != nil {
@@ -550,26 +581,19 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 	}
 	if scope != nil {
 		scope.Cached = cached
-		scope.DegradedCount = len(res.Degraded)
-		if len(res.Degraded) > 0 {
-			scope.Degraded = res.Degraded
+		scope.DegradedCount = len(a.Degraded)
+		if len(a.Degraded) > 0 {
+			scope.Degraded = a.Degraded
 		}
-		if res.Trace != nil {
-			scope.Trace = res.Trace
+		if tr != nil {
+			scope.Trace = tr
 		}
 	}
-	resp := DetectResponse{
-		Periods:        nonNil(res.Periods),
-		Cached:         cached,
-		ElapsedMS:      float64(time.Since(start)) / float64(time.Millisecond),
-		Degraded:       res.Degraded,
-		FilledFraction: res.FilledFraction,
-	}
-	if req.Details {
-		resp.Levels = resultLevels(res)
-	}
+	resp := a.response(req.Details)
+	resp.Cached = cached
+	resp.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
 	if debug {
-		resp.Trace = toTraceSummary(res.Trace)
+		resp.Trace = toTraceSummary(tr)
 		s.metrics.annotateStageQuantiles(resp.Trace)
 	}
 	writeJSON(w, http.StatusOK, resp)
@@ -635,18 +659,14 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		i, series := i, series
 		go func() {
 			defer wg.Done()
-			res, cached, err := s.runDetection(ctx, series, req.Options, false)
+			a, _, cached, err := s.runDetection(ctx, series, req.Options, false)
 			if err != nil {
 				_, items[i].Error = toAPIError(err)
 				return
 			}
-			items[i].Periods = nonNil(res.Periods)
-			items[i].Cached = cached
-			items[i].Degraded = res.Degraded
-			items[i].FilledFraction = res.FilledFraction
-			if req.Details {
-				items[i].Levels = resultLevels(res)
-			}
+			d := a.response(req.Details)
+			items[i] = BatchItem{Index: i, Periods: d.Periods, Cached: cached,
+				Levels: d.Levels, Degraded: d.Degraded, FilledFraction: d.FilledFraction}
 		}()
 	}
 	wg.Wait()

@@ -62,15 +62,16 @@ type JobStatusResponse struct {
 // execJob is the jobs.Manager's pipeline entry point, running on a
 // worker-pool goroutine: cache lookup, then a traced detection, then
 // cache fill — the async twin of runDetection without the pool round
-// trip (the dispatcher already placed us on a worker).
+// trip (the dispatcher already placed us on a worker). The job's
+// result is the answer, as in the cache.
 func (s *Server) execJob(ctx context.Context, payload any) (any, bool, error) {
 	jp, ok := payload.(*jobPayload)
 	if !ok {
 		return nil, false, errors.New("serve: malformed async job payload")
 	}
-	if res, ok := s.cache.get(jp.key); ok {
+	if a, ok := s.cache.get(jp.key); ok {
 		s.metrics.cacheHits.Add(1)
-		return res, len(res.Degraded) > 0, nil
+		return a, len(a.Degraded) > 0, nil
 	}
 	s.metrics.cacheMisses.Add(1)
 	opts, err := jp.apiOpts.toOptions()
@@ -87,14 +88,15 @@ func (s *Server) execJob(ctx context.Context, payload any) (any, bool, error) {
 		return nil, false, err
 	}
 	s.observeJobTime(time.Since(start))
-	if len(res.Degraded) > 0 {
+	a := newAnswer(res)
+	if len(a.Degraded) > 0 {
 		s.metrics.degradedTotal.Add(1)
 	}
 	// Async executions run after their submitting request finished, so
 	// there is no live span recording to pin exemplars from.
 	s.metrics.observeStages(res.Trace, "")
-	s.cache.add(jp.key, res)
-	return res, len(res.Degraded) > 0, nil
+	s.cache.add(jp.key, a)
+	return a, len(a.Degraded) > 0, nil
 }
 
 // onJobDone feeds terminal jobs into the submit-to-completion latency
@@ -232,29 +234,10 @@ func (s *Server) handleJobStatus(w http.ResponseWriter, r *http.Request) {
 		if !j.Started.IsZero() {
 			resp.QueuedMS = float64(j.Started.Sub(j.Submitted)) / float64(time.Millisecond)
 		}
-		switch res := j.Result.(type) {
-		case *robustperiod.Result:
-			resp.Result = &DetectResponse{
-				Periods:        nonNil(res.Periods),
-				ElapsedMS:      resp.ElapsedMS,
-				Degraded:       res.Degraded,
-				FilledFraction: res.FilledFraction,
-			}
-			if jp, ok := j.Payload.(*jobPayload); ok && jp.details {
-				resp.Result.Levels = resultLevels(res)
-			}
-		case *persistedResult:
-			// A result restored by crash recovery: already in wire
-			// form, with the same details gating as the live path.
-			resp.Result = &DetectResponse{
-				Periods:        nonNil(res.Periods),
-				ElapsedMS:      resp.ElapsedMS,
-				Degraded:       res.Degraded,
-				FilledFraction: res.FilledFraction,
-			}
-			if jp, ok := j.Payload.(*jobPayload); ok && jp.details {
-				resp.Result.Levels = res.Levels
-			}
+		if a, ok := j.Result.(*answer); ok {
+			jp, _ := j.Payload.(*jobPayload)
+			resp.Result = a.response(jp != nil && jp.details)
+			resp.Result.ElapsedMS = resp.ElapsedMS
 		}
 	case jobs.StateFailed:
 		resp.ElapsedMS = float64(j.Finished.Sub(j.Submitted)) / float64(time.Millisecond)
