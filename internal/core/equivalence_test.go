@@ -35,9 +35,9 @@ func tablesCorpus(short bool) []synthetic.Labeled {
 }
 
 // TestDetectSolverPathEquivalence asserts that the staged solver
-// engine's shortcuts — the Fisher prefilter, frequency warm starts,
-// and the parallel worker pool — detect exactly the same periods as
-// the cold sequential exact solver on the Tables 1-3 corpus. The
+// engine's shortcuts — the Fisher prefilter and the parallel worker
+// pool — detect exactly the same periods as the sequential exact
+// solver on the Tables 1-3 corpus. The
 // shortcuts are performance features; any divergence in detected
 // periods is a bug.
 func TestDetectSolverPathEquivalence(t *testing.T) {
@@ -45,7 +45,6 @@ func TestDetectSolverPathEquivalence(t *testing.T) {
 
 	exactOpts := core.Options{}
 	exactOpts.Detect.MPOpts.NoPrefilter = true
-	exactOpts.Detect.MPOpts.NoWarmStart = true
 
 	variants := []struct {
 		name string

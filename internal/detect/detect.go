@@ -279,13 +279,11 @@ func hybridWithBudget(padded []float64, kLo, kHi int, cfg Config) ([]float64, st
 func acfPersists(acf []float64, period int, height float64) bool {
 	n := len(acf)
 	need := height * 0.8
-	checked := false
 	for m := 2; m <= 3; m++ {
 		lag := m * period
 		if lag >= n-1 {
 			break
 		}
-		checked = true
 		w := period / 20
 		if w < 2 {
 			w = 2
@@ -302,7 +300,6 @@ func acfPersists(acf []float64, period int, height float64) bool {
 	}
 	// Periods too long to observe a second multiple pass by default;
 	// they already required several observed cycles elsewhere.
-	_ = checked
 	return true
 }
 

@@ -64,14 +64,19 @@ func TraceStages() []string {
 // diagnostics, not Prometheus families; they surface in Result.Trace
 // and the ?debug=1 response body.
 const (
-	CounterSolverIters    = "solver_iters"     // IRLS/ADMM iterations across all per-frequency solves
-	CounterSolverWarmHits = "solver_warm_hits" // solves whose warm start beat the cold OLS init
-	CounterPrefilterSkips = "prefilter_skips"  // frequencies certified below the Fisher floor and skipped
+	CounterSolverIters    = "solver_iters"    // IRLS/ADMM iterations across all per-frequency solves
+	CounterPrefilterSkips = "prefilter_skips" // frequencies certified below the Fisher floor and skipped
 )
+
+// CounterSolverWarmHits names the counter of the removed frequency
+// warm starts. Nothing emits it; it is kept only because perfbench's
+// layer table (spectrum.warm_hit_ratio) still reads it, and there it
+// now reads 0.
+const CounterSolverWarmHits = "solver_warm_hits"
 
 // TraceCounters lists the canonical per-stage trace counter names.
 func TraceCounters() []string {
-	return []string{CounterSolverIters, CounterSolverWarmHits, CounterPrefilterSkips}
+	return []string{CounterSolverIters, CounterPrefilterSkips}
 }
 
 // Span names of the serving layer (internal/trace span recordings).

@@ -13,15 +13,14 @@ package spectrum
 //   - the band is carved into fixed 64-frequency chunks claimed off an
 //     atomic cursor by a bounded pool of persistent workers, each
 //     owning a private scratch arena (trig columns, ADMM state);
-//   - within a chunk, each solve is warm-started from the previous
-//     frequency's solution whenever that beats the cold OLS init —
-//     neighbouring ordinates share most of their structure, so the
-//     IRLS/ADMM iteration count collapses on smooth spectra.
+//   - on the padded detect layout, each Huber IRLS iteration reads
+//     only the samples whose residual can leave the quadratic region,
+//     found through an |x| ladder built once per band (see ladder).
 //
-// Chunk boundaries are a fixed grid relative to kLo and every warm
-// chain resets at a chunk boundary, so the ordinates are bitwise
-// identical no matter how many workers participate (or whether the
-// caller asked for Parallel at all).
+// Every frequency is solved from its own OLS init, independently of
+// its neighbours, so the ordinates are bitwise identical no matter how
+// many workers participate (or whether the caller asked for Parallel
+// at all).
 
 import (
 	"math"
@@ -34,9 +33,9 @@ import (
 )
 
 const (
-	// solveChunk is the fixed work-unit width, in frequencies. Warm
-	// chains run within a chunk and never across one, which pins the
-	// results to the sequential ones regardless of scheduling.
+	// solveChunk is the fixed work-unit width, in frequencies: large
+	// enough that claiming a chunk off the cursor costs nothing next
+	// to solving it.
 	solveChunk = 64
 
 	// maxPoolWorkers bounds the solver pool no matter how many CPUs
@@ -241,18 +240,21 @@ type bandJob struct {
 	opts     Options
 	done     <-chan struct{}
 
+	// lad is non-nil exactly on the orthogonal Huber IRLS layout,
+	// where it selects the samples each iteration must read.
+	lad *ladder
+
 	// skip/cheap, when non-nil, carry the prefilter verdicts: skip[i]
 	// means frequency kLo+i is certified below the Fisher floor and
 	// out[i] takes the cheap ordinate instead of an exact solve.
 	skip  []bool
 	cheap []float64
 
-	out      []float64
-	nChunks  int
-	cursor   atomic.Int64
-	iters    atomic.Int64
-	warmHits atomic.Int64
-	wg       sync.WaitGroup
+	out     []float64
+	nChunks int
+	cursor  atomic.Int64
+	iters   atomic.Int64
+	wg      sync.WaitGroup
 }
 
 // execute runs the job to completion: the caller always participates,
@@ -283,66 +285,29 @@ func (j *bandJob) execute() {
 }
 
 // run claims chunks off the cursor until the band is exhausted,
-// merging this worker's iteration tallies into the job once at exit.
+// merging this worker's iteration tally into the job once at exit.
 func (j *bandJob) run(sc *scratch) {
 	sc.ensure(len(j.fit), j.opts.Solver == SolverADMM)
-	var iters, warm int64
+	var iters int64
 	for {
 		c := int(j.cursor.Add(1)) - 1
 		if c >= j.nChunks || cancelled(j.done) {
 			break
 		}
-		j.runChunk(c, sc, &iters, &warm)
+		j.runChunk(c, sc, &iters)
 	}
 	if iters != 0 {
 		j.iters.Add(iters)
 	}
-	if warm != 0 {
-		j.warmHits.Add(warm)
-	}
 }
 
-// warmAttemptIters and warmMaxLosses gate the warm-start objective
-// comparison, which costs one extra fused pass over the fit. It is
-// attempted only where it can plausibly win: after a neighbouring
-// solve that needed at least warmAttemptIters iterations (in easy
-// neighbourhoods the OLS start is already near-optimal on the
-// orthogonal layout — it IS the L2 optimum — and converges in a
-// couple of iterations, so a comparison pass there is pure loss),
-// and only while attempts keep paying off — after warmMaxLosses
-// consecutive comparisons where the cold start won, the chunk stops
-// attempting until a win resets the streak. On clean spectra that
-// caps the overhead at two wasted passes per chunk; in hard,
-// outlier-dominated neighbourhoods — where the robust neighbour
-// iterate beats the outlier-corrupted OLS start — the streak stays
-// alive and warm starts keep flowing. Both gates depend only on the
-// deterministic within-chunk chain, never on scheduling.
-const (
-	warmAttemptIters = 3
-	warmMaxLosses    = 2
-)
-
-func (j *bandJob) runChunk(c int, sc *scratch, iters, warm *int64) {
+func (j *bandJob) runChunk(c int, sc *scratch, iters *int64) {
 	kStart := j.kLo + c*solveChunk
 	kEnd := kStart + solveChunk - 1
 	if kEnd > j.kHi {
 		kEnd = j.kHi
 	}
 	cosB, sinB := sc.cos, sc.sin
-	// The orthogonal fast path: on the padded detect layout (N = 2m,
-	// integer k) the design columns over t < m sweep whole half-cycles,
-	// so the Gram matrix is exactly (m/2)·I and both the OLS init and
-	// each Huber IRLS step reduce to base sums plus outlier-only
-	// corrections (see solveIRLSOrthoHuber).
-	ortho := 2*len(j.fit) == j.plan.n && j.opts.Solver == SolverIRLS && j.opts.Loss == LossHuber
-	halfM := float64(len(j.fit)) / 2
-	// The warm chain: (wa, wb) is the previous exact solution in this
-	// chunk. It resets here, at the chunk boundary, so results never
-	// depend on which worker solved the neighbouring chunk.
-	warmOK := false
-	prevIt := 0
-	losses := 0
-	var wa, wb float64
 	for k := kStart; k <= kEnd; k++ {
 		if cancelled(j.done) {
 			return
@@ -352,85 +317,144 @@ func (j *bandJob) runChunk(c int, sc *scratch, iters, warm *int64) {
 			j.out[i] = j.cheap[i]
 			continue
 		}
-		var a0, b0, sxc, sxs float64
-		if ortho {
-			sxc, sxs = j.plan.fillDot(cosB, sinB, j.fit, k)
-			a0, b0 = sxc/halfM, sxs/halfM
-		} else {
-			j.plan.fill(cosB, sinB, k)
-			a0, b0 = olsInit(j.fit, cosB, sinB)
-		}
-		warmed := false
-		if warmOK && prevIt >= warmAttemptIters && losses < warmMaxLosses &&
-			!j.opts.NoWarmStart && j.opts.Loss != LossL2 {
-			// Take the warm start only when it is already the better
-			// iterate: IRLS/ADMM are descent schemes from any init, so
-			// this can only reduce work, never change the optimum.
-			ow, oc := objective2(j.fit, cosB, sinB, wa, wb, a0, b0, j.opts)
-			if ow < oc {
-				a0, b0 = wa, wb
-				warmed = true
-				losses = 0
-			} else {
-				losses++
-			}
-		}
 		var a, b float64
 		var it int
-		switch {
-		case j.opts.Solver == SolverADMM:
-			a, b, it = solveADMMFrom(j.fit, cosB, sinB, a0, b0, sc.z, sc.u, j.opts, j.done)
-		case ortho:
-			a, b, it = solveIRLSOrthoHuber(j.fit, cosB, sinB, a0, b0, sxc, sxs, j.opts, j.done)
-		default:
-			a, b, it = solveIRLSFrom(j.fit, cosB, sinB, a0, b0, j.opts, j.done)
+		if j.lad != nil {
+			sxc, sxs := j.plan.fillDot(cosB, sinB, j.fit, k)
+			a, b, it = solveIRLSOrthoHuber(j.fit, cosB, sinB, j.lad, sxc, sxs, j.opts, j.done)
+		} else {
+			j.plan.fill(cosB, sinB, k)
+			a0, b0 := olsInit(j.fit, cosB, sinB)
+			if j.opts.Solver == SolverADMM {
+				a, b, it = solveADMMFrom(j.fit, cosB, sinB, a0, b0, sc.z, sc.u, j.opts, j.done)
+			} else {
+				a, b, it = solveIRLSFrom(j.fit, cosB, sinB, a0, b0, j.opts, j.done)
+			}
 		}
 		*iters += int64(it)
-		if warmed {
-			*warm++
-		}
-		wa, wb, warmOK, prevIt = a, b, true, it
 		j.out[i] = j.scale * (a*a + b*b)
 	}
 }
 
-// solveIRLSOrthoHuber is the Huber IRLS step specialized to the
-// exactly orthogonal padded layout. Each reweighted normal-equation
-// system is the closed-form unweighted one ((m/2)·I Gram, the fused
-// cross-products sxc/sxs) minus corrections from the samples the
-// Huber weight actually downweights (|r| > ζ); in-threshold samples —
-// the vast majority on real data — cost two multiplies instead of
-// nine.
-func solveIRLSOrthoHuber(x, cosB, sinB []float64, a0, b0, sxc, sxs float64, opts Options, done <-chan struct{}) (a, b float64, iters int) {
-	a, b = a0, b0
+// ladderMargin, as a fraction of ζ, absorbs the rounding of the
+// residual a·cos + b·sin − x and of ‖β‖ (a few ulps of ζ) when the
+// ladder bounds which residuals can exceed ζ.
+const ladderMargin = 1e-9
+
+// ladder indexes a band's fit samples by |x_t| so that an IRLS
+// iteration on the orthogonal layout reads only the samples the Huber
+// weight can downweight. |a·cos + b·sin| ≤ ‖β‖, so a sample with
+// |x_t| ≤ ζ − ‖β‖ keeps |r_t| ≤ ζ and adds exactly nothing to the
+// correction sums. rung[i] lists, in time order, every t with
+// |x_t| > thr[i] = ζ·(1 − ballFractions[i]) — the prefilter's ball
+// grid, so len(rung[i]) = m/2 − μ(ρ_i). The rungs are nested, smallest
+// first. Because each keeps time order, a rung scan adds the same
+// terms in the same order as the full scan: the solve is bit-identical.
+// One ladder is built per band and shared read-only by its workers.
+// Indices are int32, halving the index stream; a fit never nears 2^31
+// samples.
+type ladder struct {
+	zeta float64
+	thr  [len(ballFractions)]float64
+	rung [len(ballFractions)][]int32
+	buf  []int32
+}
+
+var ladderPool = sync.Pool{New: func() any { return new(ladder) }}
+
+// build indexes fit for threshold zeta, reusing the ladder's buffer.
+func (l *ladder) build(fit []float64, zeta float64) {
+	size := rungSizes(fit, zeta)
+	total := 0
+	for i, f := range ballFractions {
+		l.thr[i] = zeta * (1 - f)
+		total += size[i]
+	}
+	if cap(l.buf) < total {
+		l.buf = make([]int32, total)
+	}
+	l.zeta = zeta
+	off := 0
+	for i, n := range size {
+		l.rung[i] = l.buf[off : off : off+n]
+		off += n
+	}
+	for t, v := range fit {
+		v = math.Abs(v)
+		for i := len(l.thr) - 1; i >= 0 && v > l.thr[i]; i-- {
+			l.rung[i] = append(l.rung[i], int32(t))
+		}
+	}
+}
+
+// scan returns the smallest rung holding every sample whose residual
+// can exceed ζ at the iterate (a, b). ok is false when no rung does
+// (‖β‖ > ζ/2, β not finite, or no ladder): then every sample must be
+// read.
+func (l *ladder) scan(a, b float64) (rung []int32, ok bool) {
+	if l == nil {
+		return nil, false
+	}
+	lim := l.zeta - math.Sqrt(a*a+b*b) - ladderMargin*l.zeta
+	for i, thr := range l.thr {
+		if thr <= lim {
+			return l.rung[i], true
+		}
+	}
+	return nil, false
+}
+
+// huberCorr accumulates the corrections that turn the unweighted
+// orthogonal normal equations into the Huber-reweighted ones: each
+// sample with |r| > ζ contributes with weight deficit 1 − ζ/|r|.
+type huberCorr struct{ cc, ss, cs, xc, xs float64 }
+
+func (h *huberCorr) add(c, s, v, a, b, zeta float64) {
+	r := a*c + b*s - v
+	if r < 0 {
+		r = -r
+	}
+	if r > zeta {
+		dw := 1 - zeta/r
+		h.cc += dw * c * c
+		h.ss += dw * s * s
+		h.cs += dw * c * s
+		h.xc += dw * v * c
+		h.xs += dw * v * s
+	}
+}
+
+// solveIRLSOrthoHuber is the Huber IRLS solve specialized to the
+// exactly orthogonal padded layout, started from the OLS fit
+// (sxc, sxs)/(m/2). Each reweighted normal-equation system is the
+// closed-form unweighted one ((m/2)·I Gram, the fused cross-products
+// sxc/sxs) minus corrections from the samples the Huber weight
+// actually downweights (|r| > ζ). lad, when non-nil, limits each
+// iteration to the samples that can be downweighted; nil reads all.
+func solveIRLSOrthoHuber(x, cosB, sinB []float64, lad *ladder, sxc, sxs float64, opts Options, done <-chan struct{}) (a, b float64, iters int) {
 	halfM := float64(len(x)) / 2
+	a, b = sxc/halfM, sxs/halfM
 	zeta := opts.Zeta
 	for iter := 0; iter < opts.MaxIter; iter++ {
 		if cancelled(done) {
 			return a, b, iters
 		}
 		iters++
-		var ccc, css, ccs, cxc, cxs float64
-		for t := range x {
-			c, s := cosB[t], sinB[t]
-			r := a*c + b*s - x[t]
-			if r < 0 {
-				r = -r
+		var h huberCorr
+		if rung, ok := lad.scan(a, b); ok {
+			for _, t := range rung {
+				h.add(cosB[t], sinB[t], x[t], a, b, zeta)
 			}
-			if r > zeta {
-				dw := 1 - zeta/r
-				ccc += dw * c * c
-				css += dw * s * s
-				ccs += dw * c * s
-				cxc += dw * x[t] * c
-				cxs += dw * x[t] * s
+		} else {
+			for t := range x {
+				h.add(cosB[t], sinB[t], x[t], a, b, zeta)
 			}
 		}
-		scc := halfM - ccc
-		sss := halfM - css
-		scs := -ccs
-		wxc := sxc - cxc
-		wxs := sxs - cxs
+		scc := halfM - h.cc
+		sss := halfM - h.ss
+		scs := -h.cs
+		wxc := sxc - h.xc
+		wxs := sxs - h.xs
 		det := scc*sss - scs*scs
 		if det == 0 || math.IsNaN(det) {
 			return a, b, iters
@@ -444,43 +468,6 @@ func solveIRLSOrthoHuber(x, cosB, sinB []float64, a0, b0, sxc, sxs float64, opts
 		}
 	}
 	return a, b, iters
-}
-
-// objective2 evaluates the M-estimation loss Σ γ(a·cos + b·sin − x)
-// at two candidate iterates in one fused pass — used to decide
-// whether the warm start beats the cold OLS init.
-func objective2(x, cosB, sinB []float64, a1, b1, a2, b2 float64, opts Options) (o1, o2 float64) {
-	if opts.Loss == LossLAD {
-		for t := range x {
-			c, s, v := cosB[t], sinB[t], x[t]
-			o1 += math.Abs(a1*c + b1*s - v)
-			o2 += math.Abs(a2*c + b2*s - v)
-		}
-		return o1, o2
-	}
-	zeta := opts.Zeta
-	for t := range x {
-		c, s, v := cosB[t], sinB[t], x[t]
-		r := a1*c + b1*s - v
-		if r < 0 {
-			r = -r
-		}
-		if r <= zeta {
-			o1 += 0.5 * r * r
-		} else {
-			o1 += zeta * (r - 0.5*zeta)
-		}
-		r = a2*c + b2*s - v
-		if r < 0 {
-			r = -r
-		}
-		if r <= zeta {
-			o2 += 0.5 * r * r
-		} else {
-			o2 += zeta * (r - 0.5*zeta)
-		}
-	}
-	return o1, o2
 }
 
 // solveBand runs the staged engine over [kLo, kHi] and reports the
@@ -502,12 +489,20 @@ func solveBand(x []float64, kLo, kHi int, opts Options, pre *prefilterResult) ([
 	if pre != nil {
 		j.skip, j.cheap = pre.skip, pre.cheap
 	}
+	// On the padded detect layout (N = 2m, integer k) the design
+	// columns over t < m sweep whole half-cycles, so the Gram matrix is
+	// exactly (m/2)·I and each Huber IRLS step reduces to base sums
+	// plus corrections from the samples the ladder selects.
+	if 2*m == n && opts.Solver == SolverIRLS && opts.Loss == LossHuber {
+		j.lad = ladderPool.Get().(*ladder)
+		j.lad.build(j.fit, opts.Zeta)
+		defer ladderPool.Put(j.lad)
+	}
 	j.execute()
 	if err := ctxErr(opts.Ctx); err != nil {
 		return nil, err
 	}
 	opts.Trace.Count(trace.StagePeriodogram, trace.CounterSolverIters, j.iters.Load())
-	opts.Trace.Count(trace.StagePeriodogram, trace.CounterSolverWarmHits, j.warmHits.Load())
 	if pre != nil {
 		opts.Trace.Count(trace.StagePeriodogram, trace.CounterPrefilterSkips, int64(pre.skips))
 	}

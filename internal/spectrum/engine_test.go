@@ -114,7 +114,6 @@ func TestPrefilterPreservesFisherVerdict(t *testing.T) {
 		}
 		exactOpts := opts
 		exactOpts.NoPrefilter = true
-		exactOpts.NoWarmStart = true
 		exact, err := HybridPeriodogram(padded, 1, kHi, exactOpts)
 		if err != nil {
 			t.Fatalf("seed %d: exact: %v", seed, err)
@@ -142,62 +141,156 @@ func TestPrefilterPreservesFisherVerdict(t *testing.T) {
 	}
 }
 
-// TestWarmStartMatchesCold: warm-started solves converge to the same
-// ordinates as cold OLS-started ones (the warm iterate is only taken
-// when it already has lower loss, so the optimum is unchanged).
-func TestWarmStartMatchesCold(t *testing.T) {
-	n := 400
-	padded := paddedSeries(n, []int{40}, 0.15, 0.3, 7)
-	opts := Options{Loss: LossHuber, FitLength: n}
-	warm, err := MPeriodogram(padded, 1, len(padded)/2-1, opts)
-	if err != nil {
-		t.Fatal(err)
+// TestExactOrdinatesMatchReference: with the prefilter armed, every
+// frequency it does not skip is solved exactly as on the NoPrefilter
+// reference path, bit for bit — no solve depends on which of its
+// neighbours were skipped.
+func TestExactOrdinatesMatchReference(t *testing.T) {
+	const alpha = 0.01
+	cases := []struct {
+		periods     []int
+		outlierFrac float64
+		noise       float64
+	}{
+		{nil, 0, 1},
+		{[]int{50}, 0.1, 0.5},
+		{[]int{32}, 0.2, 0.5},
+		{[]int{16, 40, 100}, 0.1, 1},
+		{nil, 0.3, 0.1},
 	}
-	coldOpts := opts
-	coldOpts.NoWarmStart = true
-	cold, err := MPeriodogram(padded, 1, len(padded)/2-1, coldOpts)
-	if err != nil {
-		t.Fatal(err)
+	skipped := 0
+	for ci, tc := range cases {
+		for seed := int64(0); seed < 3; seed++ {
+			n := 500
+			padded := paddedSeries(n, tc.periods, tc.outlierFrac, tc.noise, 100*int64(ci)+seed)
+			kHi := len(padded)/2 - 1
+			opts := Options{Loss: LossHuber, FitLength: n, PrefilterAlpha: alpha}
+			fast, err := HybridPeriodogram(padded, 1, kHi, opts)
+			if err != nil {
+				t.Fatalf("case %d seed %d: prefiltered: %v", ci, seed, err)
+			}
+			refOpts := opts
+			refOpts.NoPrefilter = true
+			ref, err := HybridPeriodogram(padded, 1, kHi, refOpts)
+			if err != nil {
+				t.Fatalf("case %d seed %d: reference: %v", ci, seed, err)
+			}
+			dOpts := opts.withDefaults(padded)
+			pre := buildPrefilter(padded, 1, kHi, dOpts, Periodogram(padded), true, getPlan(len(padded), n))
+			for k := range ref {
+				if pre != nil && k >= 1 && k <= kHi && pre.skip[k-1] {
+					skipped++
+					continue
+				}
+				if math.Float64bits(fast[k]) != math.Float64bits(ref[k]) {
+					t.Errorf("case %d seed %d: ordinate %d = %v, reference %v", ci, seed, k, fast[k], ref[k])
+				}
+			}
+		}
 	}
-	for i := range warm {
-		diff := math.Abs(warm[i] - cold[i])
-		if diff > 1e-6*(math.Abs(cold[i])+1e-12) {
-			t.Fatalf("ordinate %d diverged: warm %g cold %g", i, warm[i], cold[i])
+	if skipped == 0 {
+		t.Fatal("the prefilter skipped nothing; the comparison covers no skip")
+	}
+}
+
+// TestLadderScanMatchesFullScan: an orthogonal IRLS solve that reads
+// only the ladder's rung returns the same (a, b) bits and iteration
+// count as the full scan, at every frequency of series that drive the
+// solver down both paths.
+func TestLadderScanMatchesFullScan(t *testing.T) {
+	const m = 256
+	// onThresholds puts every |x_t| exactly on a rung threshold for
+	// ζ = 1, with signs following a tone so that ‖β‖ sweeps the rungs.
+	onThresholds := make([]float64, 2*m)
+	for tt := 0; tt < m; tt++ {
+		v := 1 - ballFractions[tt%len(ballFractions)]
+		if math.Cos(2*math.Pi*5*float64(tt)/(2*m)) < 0 {
+			v = -v
+		}
+		onThresholds[tt] = v
+	}
+	cases := []struct {
+		name       string
+		x          []float64
+		zeta       float64
+		wantRung   bool // some iteration must scan a rung
+		wantSweeps bool // some iteration must scan every sample
+	}{
+		{"noise", paddedSeries(m, nil, 0, 1, 1), 0, true, false},
+		{"strong-tone", paddedSeries(m, []int{16}, 0, 0.05, 2), 0, true, true},
+		{"outliers", paddedSeries(m, []int{24}, 0.2, 0.5, 3), 0, true, false},
+		{"on-thresholds", onThresholds, 1, true, true},
+		{"tiny-zeta", paddedSeries(m, []int{32}, 0.1, 0.5, 4), 1e-6, false, true},
+	}
+	for _, tc := range cases {
+		opts := Options{Loss: LossHuber, FitLength: m, Zeta: tc.zeta}.withDefaults(tc.x)
+		fit := tc.x[:m]
+		var lad ladder
+		lad.build(fit, opts.Zeta)
+		plan := getPlan(len(tc.x), m)
+		cosB, sinB := make([]float64, m), make([]float64, m)
+		rungStarts, sweepStarts := 0, 0
+		for k := 1; k < m; k++ {
+			sxc, sxs := plan.fillDot(cosB, sinB, fit, k)
+			if _, ok := lad.scan(sxc/(m/2), sxs/(m/2)); ok {
+				rungStarts++
+			} else {
+				sweepStarts++
+			}
+			a, b, it := solveIRLSOrthoHuber(fit, cosB, sinB, &lad, sxc, sxs, opts, nil)
+			wa, wb, wit := solveIRLSOrthoHuber(fit, cosB, sinB, nil, sxc, sxs, opts, nil)
+			if math.Float64bits(a) != math.Float64bits(wa) || math.Float64bits(b) != math.Float64bits(wb) || it != wit {
+				t.Errorf("%s k=%d: ladder (%v, %v, %d iters), full scan (%v, %v, %d iters)", tc.name, k, a, b, it, wa, wb, wit)
+			}
+		}
+		if tc.wantRung && rungStarts == 0 {
+			t.Errorf("%s: no solve started on a rung", tc.name)
+		}
+		if tc.wantSweeps && sweepStarts == 0 {
+			t.Errorf("%s: no solve started on the full scan", tc.name)
 		}
 	}
 }
 
 // TestSolverStressParallelIdentical hammers the shared worker pool,
-// plan cache and prefilter from many goroutines at once (run under
-// -race by the chaos CI job); every concurrent result must be bitwise
-// identical to the sequential reference.
+// plan cache, ladder pool and prefilter from many goroutines at once
+// (run under -race by the chaos CI job). Each goroutine solves its own
+// series, so a pooled buffer handed to another solve while still in
+// use would change some ordinate; every concurrent result must be
+// bitwise identical to its sequential reference.
 func TestSolverStressParallelIdentical(t *testing.T) {
+	const goroutines = 8
 	n := 512
-	padded := paddedSeries(n, []int{32, 80}, 0.1, 0.5, 11)
-	kHi := len(padded)/2 - 1
+	kHi := n - 1
 	seqOpts := Options{Loss: LossHuber, FitLength: n, PrefilterAlpha: 0.01}
-	ref, err := HybridPeriodogram(padded, 1, kHi, seqOpts)
-	if err != nil {
-		t.Fatal(err)
+	series := make([][]float64, goroutines)
+	refs := make([][]float64, goroutines)
+	for g := range series {
+		series[g] = paddedSeries(n, []int{24 + 8*g, 80}, 0.1, 0.5, 11+int64(g))
+		ref, err := HybridPeriodogram(series[g], 1, kHi, seqOpts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refs[g] = ref
 	}
 	parOpts := seqOpts
 	parOpts.Parallel = true
 
 	var wg sync.WaitGroup
-	errs := make(chan error, 64)
-	for g := 0; g < 8; g++ {
+	errs := make(chan error, goroutines)
+	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 5; i++ {
-				got, err := HybridPeriodogram(padded, 1, kHi, parOpts)
+				got, err := HybridPeriodogram(series[g], 1, kHi, parOpts)
 				if err != nil {
 					errs <- err
 					return
 				}
 				for k := range got {
-					if got[k] != ref[k] {
-						t.Errorf("parallel ordinate %d = %g, sequential %g", k, got[k], ref[k])
+					if got[k] != refs[g][k] {
+						t.Errorf("series %d: parallel ordinate %d = %g, sequential %g", g, k, got[k], refs[g][k])
 						return
 					}
 				}

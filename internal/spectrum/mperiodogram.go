@@ -71,14 +71,13 @@ type Options struct {
 	// Parallel enlists the bounded solver worker pool for the
 	// per-frequency regressions when the requested band spans more
 	// than one work chunk. Results are bitwise identical to the
-	// sequential path: chunk boundaries are a fixed grid and the
-	// warm-start chains reset at them (see engine.go).
+	// sequential path: every frequency is solved independently of
+	// which worker solves its neighbours (see engine.go).
 	Parallel bool
 
 	// Trace, when non-nil, accumulates the solver engine's
 	// diagnostics under the "periodogram" stage: total IRLS/ADMM
-	// iterations ("solver_iters"), warm starts that beat the cold OLS
-	// init ("solver_warm_hits"), and frequencies skipped by the
+	// iterations ("solver_iters") and frequencies skipped by the
 	// prefilter ("prefilter_skips"). Tallies accumulate locally per
 	// worker and merge once per call, so the hot solver loops never
 	// touch a shared lock.
@@ -119,14 +118,6 @@ type Options struct {
 	// when PrefilterAlpha is set — the reference configuration of the
 	// equivalence tests.
 	NoPrefilter bool
-
-	// NoWarmStart cold-starts every per-frequency solve from the OLS
-	// init instead of considering the neighbouring frequency's
-	// solution. Warm starts never change the optimum (the solvers are
-	// descent schemes and the warm iterate is taken only when it
-	// already has the lower loss); this switch exists for the
-	// equivalence tests and for A/B iteration-count measurements.
-	NoWarmStart bool
 }
 
 func (o Options) withDefaults(x []float64) Options {
@@ -246,10 +237,10 @@ func ctxErr(ctx context.Context) error {
 
 // olsInit returns the exact least-squares harmonic fit by solving the
 // unweighted 2×2 normal equations; this is both the L2 solution and
-// the warm start for the robust solvers. (For integer frequencies over
-// the full sample this reduces to (2/N)·[Σx·cos, Σx·sin], but the
-// exact solve also covers FitLength-restricted fits where the
-// regressors are not orthogonal.)
+// the starting iterate of the robust solvers. (For integer
+// frequencies over the full sample this reduces to
+// (2/N)·[Σx·cos, Σx·sin], but the exact solve also covers
+// FitLength-restricted fits where the regressors are not orthogonal.)
 func olsInit(x, cosB, sinB []float64) (a, b float64) {
 	var scc, sss, scs, sxc, sxs float64
 	for t := range x {
@@ -269,9 +260,8 @@ func olsInit(x, cosB, sinB []float64) (a, b float64) {
 
 // solveIRLSFrom minimizes Σ γ(a·cos + b·sin − x) by iteratively
 // reweighted least squares on the 2×2 normal equations, starting from
-// the given iterate (the OLS init, or a warm start the engine already
-// vetted). iters reports the reweighting iterations executed (for the
-// tracing layer).
+// the given iterate (the OLS init). iters reports the reweighting
+// iterations executed (for the tracing layer).
 func solveIRLSFrom(x, cosB, sinB []float64, a0, b0 float64, opts Options, done <-chan struct{}) (a, b float64, iters int) {
 	a, b = a0, b0
 	if opts.Loss == LossL2 {

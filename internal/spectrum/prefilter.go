@@ -41,7 +41,11 @@ package spectrum
 // only for the padded layout 2·FitLength == N, and only for the Huber
 // loss (LAD has no quadratic region to make μ positive).
 
-import "robustperiod/internal/dsp/fft"
+import (
+	"math"
+
+	"robustperiod/internal/dsp/fft"
+)
 
 // prefilterResult carries the per-frequency verdicts for one band.
 type prefilterResult struct {
@@ -55,6 +59,21 @@ type prefilterResult struct {
 // (few samples leave the quadratic region) but only certify small
 // gradients; the first radius that contains g_k/μ wins.
 var ballFractions = [...]float64{1.0 / 32, 1.0 / 16, 1.0 / 8, 1.0 / 4, 1.0 / 2}
+
+// rungSizes counts, for each ball fraction f, the fit samples with
+// |x_t| > ζ·(1 − f): the samples whose residual can leave Huber's
+// quadratic region somewhere on the ball of radius ζf.
+func rungSizes(fit []float64, zeta float64) (size [len(ballFractions)]int) {
+	for _, v := range fit {
+		v = math.Abs(v)
+		for i, f := range ballFractions {
+			if v > zeta*(1-f) {
+				size[i]++
+			}
+		}
+	}
+	return size
+}
 
 // buildPrefilter computes the skip certificate for [kLo, kHi], or nil
 // when the prefilter cannot arm (wrong loss, no alpha, not the padded
@@ -92,21 +111,11 @@ func buildPrefilter(x []float64, kLo, kHi int, opts Options, classical []float64
 	}
 	pClip := fft.Periodogram(clipped)
 
-	// μ(ρ) for each ball radius: one pass over the fit samples.
+	// μ(ρ) for each ball radius.
 	var mu [len(ballFractions)]float64
-	for _, v := range x[:m] {
-		if v < 0 {
-			v = -v
-		}
-		for i, f := range ballFractions {
-			if v > zeta*(1-f) {
-				mu[i]++
-			}
-		}
-	}
 	anyBall := false
-	for i := range mu {
-		mu[i] = float64(m)/2 - mu[i]
+	for i, out := range rungSizes(x[:m], zeta) {
+		mu[i] = float64(m)/2 - float64(out)
 		if mu[i] > 0 {
 			anyBall = true
 		}

@@ -41,7 +41,6 @@ func PipelineStages() []string { return registry.TraceStages() }
 // under these keys (see README "Periodogram performance").
 const (
 	CounterSolverIters    = registry.CounterSolverIters    // IRLS/ADMM iterations, summed over solves
-	CounterSolverWarmHits = registry.CounterSolverWarmHits // warm starts that beat the cold OLS init
 	CounterPrefilterSkips = registry.CounterPrefilterSkips // frequencies certified below the Fisher floor
 )
 
