@@ -64,7 +64,7 @@ func TraceStages() []string {
 // diagnostics, not Prometheus families; they surface in Result.Trace
 // and the ?debug=1 response body.
 const (
-	CounterSolverIters    = "solver_iters"    // IRLS/ADMM iterations across all per-frequency solves
+	CounterSolverIters    = "solver_iters"    // Newton/IRLS/ADMM iterations across all per-frequency solves
 	CounterPrefilterSkips = "prefilter_skips" // frequencies certified below the Fisher floor and skipped
 )
 

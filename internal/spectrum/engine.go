@@ -13,9 +13,12 @@ package spectrum
 //   - the band is carved into fixed 64-frequency chunks claimed off an
 //     atomic cursor by a bounded pool of persistent workers, each
 //     owning a private scratch arena (trig columns, ADMM state);
-//   - on the padded detect layout, each Huber IRLS iteration reads
-//     only the samples whose residual can leave the quadratic region,
-//     found through an |x| ladder built once per band (see ladder).
+//   - on the padded detect layout, the Huber solve takes Newton steps,
+//     which stop once the set of outlying samples stops changing
+//     (about three per frequency, where IRLS took about ten), with
+//     IRLS as the safeguard; each step reads only the samples whose
+//     residual can leave the quadratic region, found through an |x|
+//     ladder built once per band (see ladder).
 //
 // Every frequency is solved from its own OLS init, independently of
 // its neighbours, so the ordinates are bitwise identical no matter how
@@ -29,6 +32,7 @@ import (
 	"sync/atomic"
 
 	"robustperiod/internal/stat/dist"
+	"robustperiod/internal/stat/robust"
 	"robustperiod/internal/trace"
 )
 
@@ -240,8 +244,8 @@ type bandJob struct {
 	opts     Options
 	done     <-chan struct{}
 
-	// lad is non-nil exactly on the orthogonal Huber IRLS layout,
-	// where it selects the samples each iteration must read.
+	// lad is non-nil exactly for SolverIRLS on the orthogonal Huber
+	// layout, where it selects the samples each step must read.
 	lad *ladder
 
 	// skip/cheap, when non-nil, carry the prefilter verdicts: skip[i]
@@ -341,11 +345,11 @@ func (j *bandJob) runChunk(c int, sc *scratch, iters *int64) {
 // ladder bounds which residuals can exceed ζ.
 const ladderMargin = 1e-9
 
-// ladder indexes a band's fit samples by |x_t| so that an IRLS
-// iteration on the orthogonal layout reads only the samples the Huber
-// weight can downweight. |a·cos + b·sin| ≤ ‖β‖, so a sample with
-// |x_t| ≤ ζ − ‖β‖ keeps |r_t| ≤ ζ and adds exactly nothing to the
-// correction sums. rung[i] lists, in time order, every t with
+// ladder indexes a band's fit samples by |x_t| so that a Newton or
+// IRLS step on the orthogonal layout reads only the samples that can
+// leave Huber's quadratic region. |a·cos + b·sin| ≤ ‖β‖, so a sample
+// with |x_t| ≤ ζ − ‖β‖ keeps |r_t| ≤ ζ and adds exactly nothing to
+// the correction sums. rung[i] lists, in time order, every t with
 // |x_t| > thr[i] = ζ·(1 − ballFractions[i]) — the prefilter's ball
 // grid, so len(rung[i]) = m/2 − μ(ρ_i). The rungs are nested, smallest
 // first. Because each keeps time order, a rung scan adds the same
@@ -363,6 +367,8 @@ type ladder struct {
 var ladderPool = sync.Pool{New: func() any { return new(ladder) }}
 
 // build indexes fit for threshold zeta, reusing the ladder's buffer.
+// A buffer too small for this band's rungs grows to the most any band
+// of this fit length can need, so a pooled ladder grows at most once.
 func (l *ladder) build(fit []float64, zeta float64) {
 	size := rungSizes(fit, zeta)
 	total := 0
@@ -371,7 +377,7 @@ func (l *ladder) build(fit []float64, zeta float64) {
 		total += size[i]
 	}
 	if cap(l.buf) < total {
-		l.buf = make([]int32, total)
+		l.buf = make([]int32, len(ballFractions)*len(fit))
 	}
 	l.zeta = zeta
 	off := 0
@@ -404,12 +410,48 @@ func (l *ladder) scan(a, b float64) (rung []int32, ok bool) {
 	return nil, false
 }
 
+const (
+	// newtonSteps caps the Newton phase of the orthogonal Huber solve.
+	// An active set that has not settled by then is cycling, and the
+	// solve finishes with IRLS.
+	newtonSteps = 8
+
+	// newtonDetFloor, as a fraction of (m/2)², is the smallest
+	// determinant of the Newton system taken as safely positive
+	// definite. Below it too few samples are left inside the quadratic
+	// region to pin β down, and the solve finishes with IRLS.
+	newtonDetFloor = 1e-9
+)
+
 // huberCorr accumulates the corrections that turn the unweighted
-// orthogonal normal equations into the Huber-reweighted ones: each
-// sample with |r| > ζ contributes with weight deficit 1 − ζ/|r|.
+// orthogonal normal equations ((m/2)·I Gram, cross-products sxc/sxs)
+// into one step's 2×2 system. Only samples with |r| > ζ contribute.
 type huberCorr struct{ cc, ss, cs, xc, xs float64 }
 
-func (h *huberCorr) add(c, s, v, a, b, zeta float64) {
+// newton adds a sample's correction to the Newton system. The Huber
+// loss is piecewise quadratic, and on the piece of the iterate an
+// outlying sample has zero curvature and gradient ζ·sgn r. So it
+// leaves the Hessian (φφᵀ) and enters the right-hand side as
+// (v + ζ·sgn r)·φ.
+func (h *huberCorr) newton(c, s, v, a, b, zeta float64) {
+	r := a*c + b*s - v
+	z := zeta
+	if r < 0 {
+		r, z = -r, -zeta
+	}
+	if r > zeta {
+		u := v + z
+		h.cc += c * c
+		h.ss += s * s
+		h.cs += c * s
+		h.xc += u * c
+		h.xs += u * s
+	}
+}
+
+// irls adds a sample's correction to the IRLS system, where an
+// outlying sample keeps Huber weight ζ/|r|: weight deficit 1 − ζ/|r|.
+func (h *huberCorr) irls(c, s, v, a, b, zeta float64) {
 	r := a*c + b*s - v
 	if r < 0 {
 		r = -r
@@ -424,43 +466,122 @@ func (h *huberCorr) add(c, s, v, a, b, zeta float64) {
 	}
 }
 
-// solveIRLSOrthoHuber is the Huber IRLS solve specialized to the
+// solve returns the solution of the step's 2×2 system, the unweighted
+// one ((m/2)·I, (sxc, sxs)) minus the accumulated corrections, and its
+// determinant; the solution is not finite when det is 0.
+func (h *huberCorr) solve(halfM, sxc, sxs float64) (a, b, det float64) {
+	scc := halfM - h.cc
+	sss := halfM - h.ss
+	scs := -h.cs
+	wxc := sxc - h.xc
+	wxs := sxs - h.xs
+	det = scc*sss - scs*scs
+	return (wxc*sss - wxs*scs) / det, (wxs*scc - wxc*scs) / det, det
+}
+
+// solveIRLSOrthoHuber is the SolverIRLS Huber solve specialized to the
 // exactly orthogonal padded layout, started from the OLS fit
-// (sxc, sxs)/(m/2). Each reweighted normal-equation system is the
-// closed-form unweighted one ((m/2)·I Gram, the fused cross-products
-// sxc/sxs) minus corrections from the samples the Huber weight
-// actually downweights (|r| > ζ). lad, when non-nil, limits each
-// iteration to the samples that can be downweighted; nil reads all.
+// (sxc, sxs)/(m/2). It takes Newton steps, and when those stop short
+// of convergence it finishes with IRLS steps. Newton steps need not
+// lower the loss, so the IRLS finish starts from the OLS fit when that
+// has the lower loss; as IRLS never raises the loss, the result's loss
+// never exceeds the start's. lad, when non-nil, limits each step to
+// the samples that can leave the quadratic region; nil reads all.
 func solveIRLSOrthoHuber(x, cosB, sinB []float64, lad *ladder, sxc, sxs float64, opts Options, done <-chan struct{}) (a, b float64, iters int) {
+	a, b, iters, ok := newtonOrthoHuber(x, cosB, sinB, lad, sxc, sxs, opts, done)
+	if ok {
+		return a, b, iters
+	}
+	halfM := float64(len(x)) / 2
+	if a0, b0 := sxc/halfM, sxs/halfM; huberLoss(x, cosB, sinB, a0, b0, opts.Zeta) < huberLoss(x, cosB, sinB, a, b, opts.Zeta) {
+		a, b = a0, b0
+	}
+	opts.MaxIter -= iters
+	a, b, more := irlsOrthoHuber(x, cosB, sinB, lad, sxc, sxs, a, b, opts, done)
+	return a, b, iters + more
+}
+
+// huberLoss is Σ γ_ζ(a·cos_t + b·sin_t − x_t), read only when Newton
+// steps fall back to IRLS.
+func huberLoss(x, cosB, sinB []float64, a, b, zeta float64) float64 {
+	sum := 0.0
+	for t, v := range x {
+		sum += robust.HuberLoss(a*cosB[t]+b*sinB[t]-v, zeta)
+	}
+	return sum
+}
+
+// newtonOrthoHuber runs Newton steps from the OLS fit. With A the
+// samples where |r_t| > ζ, each step solves
+// [(m/2)·I − Σ_A φφᵀ] β = (sxc, sxs) − Σ_A (x_t + ζ·sgn r_t)·φ_t,
+// which minimizes the loss exactly once A stops changing (Madsen &
+// Nielsen's finite algorithm for Huber regression); the step after
+// that confirms it. ok is false when the steps stopped short of
+// convergence: the system was not safely positive definite, A still
+// changed after newtonSteps steps, or MaxIter ran out.
+func newtonOrthoHuber(x, cosB, sinB []float64, lad *ladder, sxc, sxs float64, opts Options, done <-chan struct{}) (a, b float64, iters int, ok bool) {
 	halfM := float64(len(x)) / 2
 	a, b = sxc/halfM, sxs/halfM
 	zeta := opts.Zeta
-	for iter := 0; iter < opts.MaxIter; iter++ {
+	for iters < opts.MaxIter {
 		if cancelled(done) {
-			return a, b, iters
+			return a, b, iters, true
+		}
+		if iters == newtonSteps {
+			return a, b, iters, false
 		}
 		iters++
 		var h huberCorr
-		if rung, ok := lad.scan(a, b); ok {
+		if rung, found := lad.scan(a, b); found {
 			for _, t := range rung {
-				h.add(cosB[t], sinB[t], x[t], a, b, zeta)
+				h.newton(cosB[t], sinB[t], x[t], a, b, zeta)
 			}
 		} else {
 			for t := range x {
-				h.add(cosB[t], sinB[t], x[t], a, b, zeta)
+				h.newton(cosB[t], sinB[t], x[t], a, b, zeta)
 			}
 		}
-		scc := halfM - h.cc
-		sss := halfM - h.ss
-		scs := -h.cs
-		wxc := sxc - h.xc
-		wxs := sxs - h.xs
-		det := scc*sss - scs*scs
-		if det == 0 || math.IsNaN(det) {
-			return a, b, iters
+		na, nb, det := h.solve(halfM, sxc, sxs)
+		if !(det > newtonDetFloor*halfM*halfM) {
+			return a, b, iters, false
 		}
-		na := (wxc*sss - wxs*scs) / det
-		nb := (wxs*scc - wxc*scs) / det
+		da, db := na-a, nb-b
+		a, b = na, nb
+		if da*da+db*db <= opts.Tol*opts.Tol*(a*a+b*b+1e-12) {
+			return a, b, iters, true
+		}
+	}
+	return a, b, iters, false
+}
+
+// irlsOrthoHuber continues a solve from (a, b) with IRLS steps. Each
+// reweighted system is the unweighted one minus corrections from the
+// samples the Huber weight actually downweights (|r| > ζ). An IRLS
+// step minimizes a quadratic that majorizes the loss at (a, b), so it
+// never increases the loss.
+func irlsOrthoHuber(x, cosB, sinB []float64, lad *ladder, sxc, sxs, a, b float64, opts Options, done <-chan struct{}) (float64, float64, int) {
+	halfM := float64(len(x)) / 2
+	zeta := opts.Zeta
+	iters := 0
+	for iters < opts.MaxIter {
+		if cancelled(done) {
+			break
+		}
+		iters++
+		var h huberCorr
+		if rung, found := lad.scan(a, b); found {
+			for _, t := range rung {
+				h.irls(cosB[t], sinB[t], x[t], a, b, zeta)
+			}
+		} else {
+			for t := range x {
+				h.irls(cosB[t], sinB[t], x[t], a, b, zeta)
+			}
+		}
+		na, nb, det := h.solve(halfM, sxc, sxs)
+		if det == 0 || math.IsNaN(det) {
+			break
+		}
 		da, db := na-a, nb-b
 		a, b = na, nb
 		if da*da+db*db <= opts.Tol*opts.Tol*(a*a+b*b+1e-12) {
@@ -491,8 +612,9 @@ func solveBand(x []float64, kLo, kHi int, opts Options, pre *prefilterResult) ([
 	}
 	// On the padded detect layout (N = 2m, integer k) the design
 	// columns over t < m sweep whole half-cycles, so the Gram matrix is
-	// exactly (m/2)·I and each Huber IRLS step reduces to base sums
-	// plus corrections from the samples the ladder selects.
+	// exactly (m/2)·I and each Huber step, Newton or its IRLS
+	// safeguard, reduces to base sums plus corrections from the
+	// samples the ladder selects.
 	if 2*m == n && opts.Solver == SolverIRLS && opts.Loss == LossHuber {
 		j.lad = ladderPool.Get().(*ladder)
 		j.lad.build(j.fit, opts.Zeta)

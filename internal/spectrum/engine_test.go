@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"robustperiod/internal/stat/dist"
+	"robustperiod/internal/trace"
 )
 
 // paddedSeries builds a detect-layout input: n real samples (sinusoids
@@ -368,5 +369,95 @@ func TestTrigPlanShared(t *testing.T) {
 	}
 	if p3 := getPlan(2048, 2048); p3 == p1 {
 		t.Error("different FitLength shares a plan key")
+	}
+}
+
+// TestOrthoSolveMatchesGenericSolver is an oracle for the orthogonal
+// solve: on the cases of TestExactOrdinatesMatchReference, with ζ from
+// the MADN, every ordinate it returns must match solveIRLSFrom run to
+// Tol 1e-14. solveIRLSFrom builds the full weighted normal equations
+// and shares no code with the correction form. The outlier-dominated
+// row drives some solves into the IRLS safeguard, which must then
+// reach the same optimum.
+func TestOrthoSolveMatchesGenericSolver(t *testing.T) {
+	cases := []struct {
+		periods     []int
+		outlierFrac float64
+		noise       float64
+		safeguard   bool // some solve must finish with IRLS
+	}{
+		{nil, 0, 1, false},
+		{[]int{50}, 0.1, 0.5, false},
+		{[]int{32}, 0.2, 0.5, false},
+		{[]int{16, 40, 100}, 0.1, 1, false},
+		{nil, 0.3, 0.1, true},
+	}
+	const n = 500
+	cosB, sinB := make([]float64, n), make([]float64, n)
+	for ci, tc := range cases {
+		fallbacks := 0
+		for seed := int64(0); seed < 3; seed++ {
+			padded := paddedSeries(n, tc.periods, tc.outlierFrac, tc.noise, 100*int64(ci)+seed)
+			fit := padded[:n]
+			opts := Options{Loss: LossHuber, FitLength: n}.withDefaults(padded)
+			refOpts := opts
+			refOpts.Tol, refOpts.MaxIter = 1e-14, 100000
+			var lad ladder
+			lad.build(fit, opts.Zeta)
+			plan := getPlan(len(padded), n)
+			for k := 1; k < n; k++ {
+				sxc, sxs := plan.fillDot(cosB, sinB, fit, k)
+				a, b, _ := solveIRLSOrthoHuber(fit, cosB, sinB, &lad, sxc, sxs, opts, nil)
+				if _, _, _, ok := newtonOrthoHuber(fit, cosB, sinB, &lad, sxc, sxs, opts, nil); !ok {
+					fallbacks++
+				}
+				a0, b0 := olsInit(fit, cosB, sinB)
+				ra, rb, rit := solveIRLSFrom(fit, cosB, sinB, a0, b0, refOpts, nil)
+				if rit == refOpts.MaxIter {
+					t.Fatalf("case %d seed %d k=%d: reference did not converge", ci, seed, k)
+				}
+				got, want := a*a+b*b, ra*ra+rb*rb
+				if math.Abs(got-want) > 1e-8*want {
+					t.Errorf("case %d seed %d k=%d: ordinate %.17g, reference %.17g (rel %.2g)",
+						ci, seed, k, got, want, math.Abs(got-want)/want)
+				}
+			}
+		}
+		if tc.safeguard && fallbacks == 0 {
+			t.Errorf("case %d: no solve reached the IRLS safeguard", ci)
+		}
+		t.Logf("case %d: %d solves finished with IRLS", ci, fallbacks)
+	}
+}
+
+// TestNewtonItersPerExactSolve pins the Newton phase's fast
+// convergence: on a fixed padded corpus the mean number of solver
+// iterations per exact solve must stay at most 4 (IRLS alone needed
+// about 10). A silent fall back to linear convergence fails it.
+func TestNewtonItersPerExactSolve(t *testing.T) {
+	var iters, solves int64
+	for seed := int64(0); seed < 12; seed++ {
+		n := 1000
+		padded := paddedSeries(n, []int{24, 168}, 0.05*float64(seed%4), 1, 500+seed)
+		kLo, kHi := 1, n-2 // short of n−1: no robust Nyquist solve in the tally
+		tr := trace.New()
+		opts := Options{Loss: LossHuber, FitLength: n, PrefilterAlpha: 0.01, Trace: tr}
+		if _, err := HybridPeriodogram(padded, kLo, kHi, opts); err != nil {
+			t.Fatal(err)
+		}
+		for _, st := range tr.Summary().Stages {
+			if st.Name == trace.StagePeriodogram {
+				iters += st.Counters[trace.CounterSolverIters]
+				solves += int64(kHi-kLo+1) - st.Counters[trace.CounterPrefilterSkips]
+			}
+		}
+	}
+	if solves == 0 {
+		t.Fatal("no exact solves")
+	}
+	mean := float64(iters) / float64(solves)
+	t.Logf("%d exact solves, %.3f iterations each", solves, mean)
+	if mean > 4 {
+		t.Errorf("%.3f solver iterations per exact solve, want <= 4", mean)
 	}
 }

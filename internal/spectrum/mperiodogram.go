@@ -44,9 +44,13 @@ func (l Loss) String() string {
 // Solver selects the optimizer for the per-frequency M-regression.
 type Solver int
 
-// SolverIRLS (iteratively reweighted least squares) is the default;
-// SolverADMM is the alternating direction method the paper cites.
-// Both converge to the same optimum; see the ablation benches.
+// SolverIRLS is the default. On the padded Huber layout
+// (2·FitLength == N) it takes Newton steps, which end once the set of
+// outlying samples stops changing, with iteratively reweighted least
+// squares (IRLS) as the safeguard; everywhere else (other layouts, the
+// LAD loss) it runs IRLS. SolverADMM is the alternating direction
+// method the paper cites. Both converge to the same optimum; see the
+// ablation benches.
 const (
 	SolverIRLS Solver = iota
 	SolverADMM
@@ -76,7 +80,7 @@ type Options struct {
 	Parallel bool
 
 	// Trace, when non-nil, accumulates the solver engine's
-	// diagnostics under the "periodogram" stage: total IRLS/ADMM
+	// diagnostics under the "periodogram" stage: total Newton/IRLS/ADMM
 	// iterations ("solver_iters") and frequencies skipped by the
 	// prefilter ("prefilter_skips"). Tallies accumulate locally per
 	// worker and merge once per call, so the hot solver loops never

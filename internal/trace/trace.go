@@ -40,7 +40,7 @@ func PipelineStages() []string { return registry.TraceStages() }
 // The periodogram solver engine reports its staged-solve diagnostics
 // under these keys (see README "Periodogram performance").
 const (
-	CounterSolverIters    = registry.CounterSolverIters    // IRLS/ADMM iterations, summed over solves
+	CounterSolverIters    = registry.CounterSolverIters    // Newton/IRLS/ADMM iterations, summed over solves
 	CounterPrefilterSkips = registry.CounterPrefilterSkips // frequencies certified below the Fisher floor
 )
 
