@@ -1,25 +1,19 @@
-// Command rplint runs the repository's static-analysis suite: eleven
+// Command rplint runs the repository's static-analysis suite: seven
 // analyzers (see internal/analysis and the README "Static analysis"
 // section) that enforce the pipeline's correctness invariants over
 // every package matched by the given patterns (default ./...). Six are
-// per-file checks; five are flow-aware, built on an intra-procedural
-// CFG and a module-wide call-summary layer, and marked [flow] in
-// -list output.
+// per-file checks; lockdiscipline is flow-aware, built on an
+// intra-procedural CFG and a module-wide call-summary layer, and
+// marked [flow] in -list output.
 //
 // Usage:
 //
-//	go run ./cmd/rplint [-json] [-list] [-listcache file] [-facts file] [-only names] [patterns...]
+//	go run ./cmd/rplint [-json] [-list] [-only names] [patterns...]
 //
 // Exit status: 0 clean, 1 findings reported, 2 load/usage error.
 // Findings print as "file:line: [analyzer] message"; -json emits an
 // object {"findings": [...], "timing": [...]} with per-analyzer
-// wall-clock milliseconds for machine consumption. -listcache names a
-// file that caches the `go list -json` answers so repeated CI steps
-// skip the module scan. -facts names a cache file for the compiler's
-// escape-analysis verdicts (`go build -gcflags=-m` under a throwaway
-// GOCACHE, keyed by a source hash); when given, the hotalloc analyzer
-// cross-checks its AST heuristics against the compiler's ground
-// truth.
+// wall-clock milliseconds for machine consumption.
 package main
 
 import (
@@ -46,9 +40,6 @@ func run(argv []string) int {
 	fs := flag.NewFlagSet("rplint", flag.ContinueOnError)
 	jsonOut := fs.Bool("json", false, "emit findings and per-analyzer timing as a JSON object")
 	listOnly := fs.Bool("list", false, "list analyzers and exit; flow-aware analyzers are marked [flow]")
-	listCache := fs.String("listcache", "", "cache file for go list output (read if present, written otherwise)")
-	writeCache := fs.Bool("writecache", false, "only resolve patterns and write the -listcache file, then exit")
-	factsCache := fs.String("facts", "", "cache file for compiler escape facts; enables hotalloc's escape cross-check")
 	only := fs.String("only", "", "comma-separated analyzer names to run (default: all)")
 	if err := fs.Parse(argv); err != nil {
 		return 2
@@ -95,19 +86,7 @@ func run(argv []string) int {
 		return 2
 	}
 
-	if *writeCache {
-		if *listCache == "" {
-			fmt.Fprintln(os.Stderr, "rplint: -writecache requires -listcache <file>")
-			return 2
-		}
-		if _, err := analysis.List(moduleDir, patterns, *listCache); err != nil {
-			fmt.Fprintf(os.Stderr, "rplint: %v\n", err)
-			return 2
-		}
-		return 0
-	}
-
-	loader, pkgs, err := analysis.Load(moduleDir, patterns, *listCache)
+	loader, pkgs, err := analysis.Load(moduleDir, patterns)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "rplint: %v\n", err)
 		return 2
@@ -116,14 +95,6 @@ func run(argv []string) int {
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "rplint: %v\n", err)
 		return 2
-	}
-	if *factsCache != "" {
-		ef, err := analysis.LoadEscape(moduleDir, patterns, *factsCache)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "rplint: %v\n", err)
-			return 2
-		}
-		cfg.Escape = ef.Notes
 	}
 
 	findings, timing := analysis.RunTimed(pkgs, cfg, analyzers)

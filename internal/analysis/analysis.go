@@ -1,11 +1,12 @@
 // Package analysis is rplint's engine: a small, standard-library-only
 // static-analysis framework (go/parser + go/types, module-aware
-// loading via `go list -json`) plus the analyzers that encode this
-// repository's correctness invariants — stdlib purity, tolerance-based
-// float comparison, cancellation-aware hot loops, registry-resolved
-// fault/trace/metric names, %w-wrapped sentinels, and once-per-Server
-// expvar registration. See cmd/rplint for the command-line driver and
-// the README "Static analysis" section for the catalog.
+// loading via `go list -json`) plus the seven analyzers that encode
+// this repository's correctness invariants — stdlib purity,
+// tolerance-based float comparison, cancellation-aware hot loops,
+// registry-resolved fault/trace/metric names, %w-wrapped sentinels,
+// once-per-Server expvar registration, and lock discipline in the
+// service layers. See cmd/rplint for the command-line tool and the
+// README "Static analysis" section for the catalog.
 package analysis
 
 import (
@@ -36,7 +37,7 @@ func (f Finding) String() string {
 type Analyzer struct {
 	Name string // short name, e.g. "floateq"; suppressions use rplint/<name>
 	Doc  string // one-line description for -list and the README
-	Flow bool   // true for flow-aware analyzers (CFG / call-summary / escape layer)
+	Flow bool   // true for flow-aware analyzers (CFG / call-summary layer)
 	Run  func(*Pass)
 }
 
@@ -73,8 +74,8 @@ func relFile(moduleDir, filename string) string {
 }
 
 // Analyzers returns the full rplint suite, in reporting order: the
-// six per-file analyzers, then the five flow-aware ones built on the
-// CFG and call-summary layers.
+// six per-file analyzers, then lockdiscipline, the one flow-aware
+// analyzer, built on the CFG and call-summary layers.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		StdlibOnly,
@@ -84,10 +85,6 @@ func Analyzers() []*Analyzer {
 		ErrWrap,
 		MutexHeld,
 		LockDiscipline,
-		AtomicMix,
-		GoroLeak,
-		WaitGroupCheck,
-		HotAlloc,
 	}
 }
 
@@ -168,8 +165,8 @@ type Timing struct {
 }
 
 // RunTimed is Run plus a per-analyzer wall-clock breakdown (summed
-// across packages), led by a "facts" entry for the shared
-// CFG/call-summary computation the flow-aware analyzers consume.
+// across packages), led by a "facts" entry for the call-summary
+// computation lockdiscipline consumes.
 func RunTimed(pkgs []*Package, cfg *Config, analyzers []*Analyzer) ([]Finding, []Timing) {
 	elapsed := make(map[string]time.Duration)
 

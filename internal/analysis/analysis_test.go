@@ -56,11 +56,9 @@ func fixtureConfig(l *Loader, fixtureDir, importPath string) *Config {
 	for _, m := range registry.Metrics() {
 		cfg.Metrics[m.Name] = m
 	}
-	// Flow-analyzer catalogs, scoped to the fixture packages: the
-	// lockdiscipline fixture's classes in nesting order (plus the
-	// generics fixture's mutex, so its coverage check stays quiet), and
-	// the hotalloc fixture's catalog including one deliberately
-	// dangling entry.
+	// The lock-order catalog, scoped to the fixture packages: the
+	// lockdiscipline fixture's classes in nesting order, plus the
+	// generics fixture's mutex so its coverage check stays quiet.
 	cfg.LockOrder = map[string]int{
 		"lockdiscipline.Outer.mu": 0,
 		"lockdiscipline.Inner.mu": 1,
@@ -68,18 +66,6 @@ func fixtureConfig(l *Loader, fixtureDir, importPath string) *Config {
 		"generics.Cache.mu":       3,
 	}
 	cfg.LockCatalogPackages = map[string]bool{importPath: true}
-	cfg.GoroutinePackages = map[string]bool{importPath: true}
-	cfg.HotPaths = stringSet([]string{
-		"hotalloc.HotFmt",
-		"hotalloc.HotAppend",
-		"hotalloc.HotPrealloc",
-		"hotalloc.(*Buf).Record",
-		"hotalloc.HotBox",
-		"hotalloc.HotNoBox",
-		"hotalloc.HotClosure",
-		"hotalloc.HotInvoked",
-		"hotalloc.Missing",
-	})
 	return cfg
 }
 
@@ -99,10 +85,6 @@ func TestFixtures(t *testing.T) {
 		{"mutexheld", "mutexheld"},
 		{"suppress", "floateq"},
 		{"lockdiscipline", "lockdiscipline"},
-		{"atomicmix", "atomicmix"},
-		{"goroleak", "goroleak"},
-		{"waitgroup", "waitgroup"},
-		{"hotalloc", "hotalloc"},
 	}
 	l := fixtureLoader(t)
 	for _, tc := range cases {
@@ -145,7 +127,7 @@ func TestFixtures(t *testing.T) {
 	}
 }
 
-// TestGenericsFixture runs the ENTIRE suite — flow-aware analyzers
+// TestGenericsFixture runs the ENTIRE suite — lockdiscipline
 // included — over a type-parameterized package: zero findings, zero
 // panics. Generic receivers, instantiation expressions, and closures
 // over type parameters must flow through the CFG, summary, and class
@@ -176,7 +158,7 @@ func TestRepoClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, pkgs, err := Load(moduleDir, []string{"./..."}, "")
+	l, pkgs, err := Load(moduleDir, []string{"./..."})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,9 +5,9 @@ import (
 	"go/token"
 )
 
-// This file is the flow layer under the concurrency analyzers: a
-// lightweight intra-procedural control-flow graph built from a
-// function body's AST. It is deliberately smaller than a compiler
+// This file is the flow layer under lockdiscipline: a lightweight
+// intra-procedural control-flow graph built from a function body's
+// AST. It is deliberately smaller than a compiler
 // CFG — statements stay whole (a statement is the unit of matching
 // for lock/unlock pairing), expressions are never split, and the only
 // control constructs modeled are the ones that change which

@@ -41,21 +41,6 @@ type Config struct {
 	// jobs, wal, serve, obs, trace, slo).
 	LockCatalogPackages map[string]bool
 
-	// GoroutinePackages are the import paths where every spawned
-	// goroutine must be tied to a context, done channel, or WaitGroup
-	// visible at the spawn site (goroleak).
-	GoroutinePackages map[string]bool
-
-	// HotPaths is the registry hot-path catalog: FuncDisplay-form
-	// function names whose bodies the hotalloc analyzer holds to
-	// allocation discipline.
-	HotPaths map[string]bool
-
-	// Escape carries compiler escape-analysis notes ("file:line" →
-	// messages, module-relative paths) when the run has them (rplint
-	// -facts); nil runs hotalloc on its AST checks alone.
-	Escape map[string][]string
-
 	RegistryProblems []string // registry.Validate() output, reported once
 }
 
@@ -105,16 +90,6 @@ func RepoConfig(l *Loader) (*Config, error) {
 	} {
 		cfg.LockCatalogPackages[l.ModulePath+suffix] = true
 	}
-	cfg.GoroutinePackages = make(map[string]bool)
-	for _, suffix := range []string{
-		"/internal/jobs",
-		"/internal/wal",
-		"/internal/serve",
-		"/internal/slo",
-	} {
-		cfg.GoroutinePackages[l.ModulePath+suffix] = true
-	}
-	cfg.HotPaths = stringSet(registry.HotPaths())
 	readme, err := os.ReadFile(filepath.Join(l.ModuleDir, cfg.ReadmePath))
 	if err != nil {
 		return nil, err

@@ -102,8 +102,6 @@ func runCtxLoop(p *Pass) {
 // context.Context or done-channel value anywhere (parameters count
 // only when used; an unused context cannot be polled meaningfully
 // without first naming it, at which point the expression shows up).
-// root may be a *ast.FuncDecl or any other subtree (goroleak hands it
-// goroutine function-literal bodies).
 func hasCancelSignal(info *types.Info, root ast.Node) bool {
 	found := false
 	ast.Inspect(root, func(n ast.Node) bool {

@@ -4,29 +4,25 @@ import (
 	"fmt"
 	"go/ast"
 	"go/types"
-	"sort"
-	"strings"
 )
 
 // This file is the call-summary half of the flow layer: one pass over
 // every loaded package computes a FuncFacts record per function body,
-// then a fixpoint propagates the summaries along the (monomorphic)
-// call graph. The concurrency analyzers consult the result to reason
-// across function boundaries — "does the function this goroutine runs
-// watch a cancellation signal?", "which lock classes does this callee
-// acquire?" — without whole-program SSA.
+// then a fixpoint propagates the lock summaries along the
+// (monomorphic) call graph. lockdiscipline consults the result to
+// reason across function boundaries — "which lock classes does this
+// callee acquire?", "does this helper release the lock?" — without
+// whole-program SSA.
 
-// FuncFacts summarizes one function for cross-procedural queries.
-// After ComputeFacts returns, Acquires/ObservesCancel/WGDone are
-// transitive over same-module calls (excluding calls launched in a go
-// statement, which run on another goroutine's stack).
+// FuncFacts summarizes one function's locking for cross-procedural
+// queries. After ComputeFacts returns, Acquires is transitive over
+// same-module calls (excluding calls launched in a go statement, which
+// run on another goroutine's stack).
 type FuncFacts struct {
 	Display string // e.g. "jobs.(*Manager).dispatch"
 
-	Acquires       map[string]bool // lock classes acquired, transitively
-	Releases       map[string]bool // lock classes released directly (unlock helpers)
-	ObservesCancel bool            // references a ctx/done-chan, transitively
-	WGDone         bool            // calls (*sync.WaitGroup).Done, transitively
+	Acquires map[string]bool // lock classes acquired, transitively
+	Releases map[string]bool // lock classes released directly (unlock helpers)
 
 	calls []string // callee keys, for the fixpoint
 }
@@ -36,12 +32,6 @@ type FuncFacts struct {
 // target and a dependency).
 type Facts struct {
 	Funcs map[string]*FuncFacts
-
-	// AtomicFields is the set of struct fields (keyed
-	// "pkg.Type.field") accessed through a sync/atomic function
-	// anywhere in the module. The atomicmix analyzer flags plain
-	// reads/writes of these fields.
-	AtomicFields map[string]bool
 }
 
 // FuncKey returns the stable cross-package key for f.
@@ -49,9 +39,9 @@ func FuncKey(f *types.Func) string {
 	return f.FullName()
 }
 
-// FuncDisplay renders f the way the registry hot-path catalog and the
-// analyzers' messages name functions: pkg.Func, pkg.Type.Method, or
-// pkg.(*Type).Method, with pkg the package's short name.
+// FuncDisplay renders f the way the analyzers' messages name
+// functions: pkg.Func, pkg.Type.Method, or pkg.(*Type).Method, with
+// pkg the package's short name.
 func FuncDisplay(f *types.Func) string {
 	short := "?"
 	if f.Pkg() != nil {
@@ -163,80 +153,10 @@ func lockExprText(expr ast.Expr) string {
 	return ""
 }
 
-// atomicCallField inspects a call and, when it is a sync/atomic
-// function taking &x.f, returns the field object, its owner struct
-// type, and whether the operation is 64-bit wide.
-func atomicCallField(info *types.Info, call *ast.CallExpr) (field *types.Var, owner *types.Struct, wide bool, ok bool) {
-	f := calleeFunc(info, call)
-	if f == nil || f.Pkg() == nil || f.Pkg().Path() != "sync/atomic" {
-		return nil, nil, false, false
-	}
-	name := f.Name()
-	switch {
-	case strings.HasPrefix(name, "Add"), strings.HasPrefix(name, "Load"),
-		strings.HasPrefix(name, "Store"), strings.HasPrefix(name, "Swap"),
-		strings.HasPrefix(name, "CompareAndSwap"):
-	default:
-		return nil, nil, false, false
-	}
-	wide = strings.HasSuffix(name, "Int64") || strings.HasSuffix(name, "Uint64")
-	if len(call.Args) == 0 {
-		return nil, nil, false, false
-	}
-	un, isUnary := ast.Unparen(call.Args[0]).(*ast.UnaryExpr)
-	if !isUnary || un.Op.String() != "&" {
-		return nil, nil, false, false
-	}
-	sel, isSel := ast.Unparen(un.X).(*ast.SelectorExpr)
-	if !isSel {
-		return nil, nil, false, false
-	}
-	obj, isVar := info.Uses[sel.Sel].(*types.Var)
-	if !isVar || !obj.IsField() {
-		return nil, nil, false, false
-	}
-	t := info.Types[sel.X].Type
-	if t == nil {
-		return nil, nil, false, false
-	}
-	if p, isPtr := t.(*types.Pointer); isPtr {
-		t = p.Elem()
-	}
-	st, isStruct := t.Underlying().(*types.Struct)
-	if !isStruct {
-		return nil, nil, false, false
-	}
-	return obj, st, wide, true
-}
-
-// FieldKey names a struct field the way AtomicFields is keyed:
-// "pkg.Type.field", resolved through the selector's receiver type.
-func FieldKey(info *types.Info, sel *ast.SelectorExpr) string {
-	obj, ok := info.Uses[sel.Sel].(*types.Var)
-	if !ok || !obj.IsField() || obj.Pkg() == nil {
-		return ""
-	}
-	t := info.Types[sel.X].Type
-	if t == nil {
-		return ""
-	}
-	if p, isPtr := t.(*types.Pointer); isPtr {
-		t = p.Elem()
-	}
-	n, isNamed := t.(*types.Named)
-	if !isNamed {
-		return ""
-	}
-	return fmt.Sprintf("%s.%s.%s", obj.Pkg().Name(), n.Obj().Name(), obj.Name())
-}
-
 // ComputeFacts builds the module-wide summary set over the loaded
 // packages and runs the propagation fixpoint.
 func ComputeFacts(pkgs []*Package) *Facts {
-	facts := &Facts{
-		Funcs:        make(map[string]*FuncFacts),
-		AtomicFields: make(map[string]bool),
-	}
+	facts := &Facts{Funcs: make(map[string]*FuncFacts)}
 	for _, pkg := range pkgs {
 		info := pkg.Info
 		for _, file := range pkg.Files {
@@ -258,28 +178,9 @@ func ComputeFacts(pkgs []*Package) *Facts {
 				facts.Funcs[FuncKey(obj)] = ff
 			}
 		}
-		// Atomic field catalog: every &x.f handed to a sync/atomic
-		// function, anywhere in the file (including init exprs).
-		for _, file := range pkg.Files {
-			ast.Inspect(file, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				if field, _, _, ok := atomicCallField(info, call); ok && field.Pkg() != nil {
-					if sel, isSel := ast.Unparen(ast.Unparen(call.Args[0]).(*ast.UnaryExpr).X).(*ast.SelectorExpr); isSel {
-						if key := FieldKey(info, sel); key != "" {
-							facts.AtomicFields[key] = true
-						}
-					}
-				}
-				return true
-			})
-		}
 	}
 
-	// Fixpoint: propagate acquires / cancellation observation /
-	// WaitGroup.Done along same-module calls.
+	// Fixpoint: propagate acquires along same-module calls.
 	for changed := true; changed; {
 		changed = false
 		for _, ff := range facts.Funcs {
@@ -294,14 +195,6 @@ func ComputeFacts(pkgs []*Package) *Facts {
 						changed = true
 					}
 				}
-				if callee.ObservesCancel && !ff.ObservesCancel {
-					ff.ObservesCancel = true
-					changed = true
-				}
-				if callee.WGDone && !ff.WGDone {
-					ff.WGDone = true
-					changed = true
-				}
 			}
 		}
 	}
@@ -309,19 +202,14 @@ func ComputeFacts(pkgs []*Package) *Facts {
 }
 
 // collectDirectFacts fills ff with fd's own (non-transitive) facts:
-// lock classes acquired/released, cancellation references, WaitGroup
-// Done calls, and the call list for the fixpoint. Calls inside go
-// statements are excluded from the call list — they run on a
-// different goroutine's stack, so neither lock acquisition nor
-// cancellation observation transfers to the spawner.
+// lock classes acquired/released and the call list for the fixpoint.
+// Calls inside go statements are excluded — they run on a different
+// goroutine's stack, so their lock acquisitions do not transfer to
+// the spawner.
 func collectDirectFacts(info *types.Info, fd *ast.FuncDecl, ff *FuncFacts) {
-	ff.ObservesCancel = hasCancelSignal(info, fd)
-	var walk func(n ast.Node) bool
-	walk = func(n ast.Node) bool {
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.GoStmt:
-			// Record the spawn's function literal body? No: its locks
-			// and ctx references belong to the goroutine, not to fd.
 			return false
 		case *ast.CallExpr:
 			f := calleeFunc(info, n)
@@ -337,24 +225,9 @@ func collectDirectFacts(info *types.Info, fd *ast.FuncDecl, ff *FuncFacts) {
 				return true
 			}
 			if f != nil {
-				if methodOn(f, "sync", "WaitGroup") && f.Name() == "Done" {
-					ff.WGDone = true
-				}
 				ff.calls = append(ff.calls, FuncKey(f))
 			}
 		}
 		return true
-	}
-	ast.Inspect(fd.Body, walk)
-}
-
-// SortedKeys is a small test/debug helper: the keys of a string-keyed
-// set in stable order.
-func SortedKeys[M ~map[string]bool](m M) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
+	})
 }

@@ -2,8 +2,6 @@ package analysis
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"go/ast"
@@ -12,11 +10,9 @@ import (
 	"go/token"
 	"go/types"
 	"io"
-	"io/fs"
 	"os"
 	"os/exec"
 	"path/filepath"
-	"sort"
 	"strings"
 )
 
@@ -28,71 +24,6 @@ type listPackage struct {
 	Name       string
 	GoFiles    []string
 	Standard   bool
-}
-
-// ListOutput bundles everything the `go` tool is consulted for, so one
-// invocation's answers can be cached to a file (-listcache) and reused
-// by later steps without shelling out again. Key fingerprints the
-// module layout the answers were computed against (see ListCacheKey);
-// a cache whose key no longer matches is regenerated, never reused.
-type ListOutput struct {
-	Key        string
-	GoRoot     string
-	ModulePath string
-	ModuleDir  string
-	Packages   []listPackage
-}
-
-// ListCacheKey fingerprints what `go list` answers depend on: the
-// go.mod content and the module's package layout (every directory
-// holding at least one .go file, with the sorted file names in each).
-// Adding, removing, or renaming a package or source file — or editing
-// go.mod — changes the key; editing a file's contents does not, since
-// that cannot change package metadata.
-func ListCacheKey(moduleDir string) (string, error) {
-	h := sha256.New()
-	if data, err := os.ReadFile(filepath.Join(moduleDir, "go.mod")); err == nil {
-		h.Write(data)
-	}
-	type dirEntry struct {
-		dir   string
-		files []string
-	}
-	byDir := make(map[string][]string)
-	err := filepath.WalkDir(moduleDir, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			switch d.Name() {
-			case ".git", ".cache", "testdata":
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if strings.HasSuffix(path, ".go") {
-			rel, rerr := filepath.Rel(moduleDir, filepath.Dir(path))
-			if rerr != nil {
-				rel = filepath.Dir(path)
-			}
-			rel = filepath.ToSlash(rel)
-			byDir[rel] = append(byDir[rel], d.Name())
-		}
-		return nil
-	})
-	if err != nil {
-		return "", err
-	}
-	dirs := make([]dirEntry, 0, len(byDir))
-	for dir, files := range byDir {
-		sort.Strings(files)
-		dirs = append(dirs, dirEntry{dir, files})
-	}
-	sort.Slice(dirs, func(i, j int) bool { return dirs[i].dir < dirs[j].dir })
-	for _, de := range dirs {
-		fmt.Fprintf(h, "%s=%s;", de.dir, strings.Join(de.files, ","))
-	}
-	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
 // Package is one loaded, parsed, and type-checked module package —
@@ -176,39 +107,9 @@ func modulePathOf(moduleDir string) (string, error) {
 	return "", fmt.Errorf("analysis: no module directive in %s/go.mod", moduleDir)
 }
 
-// List resolves patterns (e.g. "./...") to package metadata via
-// `go list -json`, or from cacheFile when it exists and its layout
-// key still matches the module (a stale cache — go.mod edited, a
-// package added or removed — is regenerated in place, not reused).
-// When cacheFile is non-empty and absent or stale, the fresh output
-// is written there for the next step to reuse.
-func List(moduleDir string, patterns []string, cacheFile string) (*ListOutput, error) {
-	var cacheKey string
-	if cacheFile != "" {
-		var err error
-		cacheKey, err = ListCacheKey(moduleDir)
-		if err != nil {
-			return nil, err
-		}
-		if data, err := os.ReadFile(cacheFile); err == nil {
-			out := new(ListOutput)
-			if err := json.Unmarshal(data, out); err != nil {
-				return nil, fmt.Errorf("analysis: corrupt list cache %s: %w", cacheFile, err)
-			}
-			if out.Key == cacheKey {
-				return out, nil
-			}
-			// Stale: fall through to a fresh `go list` run.
-		}
-	}
-	modulePath, err := modulePathOf(moduleDir)
-	if err != nil {
-		return nil, err
-	}
-	goroot, err := goEnv(moduleDir, "GOROOT")
-	if err != nil {
-		return nil, err
-	}
+// goList resolves patterns (e.g. "./...") to package metadata via
+// `go list -json`.
+func goList(moduleDir string, patterns []string) ([]listPackage, error) {
 	args := append([]string{"list", "-json=Dir,ImportPath,Name,GoFiles,Standard", "--"}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = moduleDir
@@ -218,7 +119,7 @@ func List(moduleDir string, patterns []string, cacheFile string) (*ListOutput, e
 	if err != nil {
 		return nil, fmt.Errorf("analysis: go list %s: %w\n%s", strings.Join(patterns, " "), err, stderr.String())
 	}
-	out := &ListOutput{Key: cacheKey, GoRoot: goroot, ModulePath: modulePath, ModuleDir: moduleDir}
+	var out []listPackage
 	dec := json.NewDecoder(bytes.NewReader(stdout))
 	for {
 		var lp listPackage
@@ -227,14 +128,7 @@ func List(moduleDir string, patterns []string, cacheFile string) (*ListOutput, e
 		} else if err != nil {
 			return nil, fmt.Errorf("analysis: decoding go list output: %w", err)
 		}
-		out.Packages = append(out.Packages, lp)
-	}
-	if cacheFile != "" {
-		if data, err := json.MarshalIndent(out, "", "\t"); err == nil {
-			if err := os.MkdirAll(filepath.Dir(cacheFile), 0o755); err == nil {
-				_ = os.WriteFile(cacheFile, data, 0o644)
-			}
-		}
+		out = append(out, lp)
 	}
 	return out, nil
 }
@@ -252,14 +146,22 @@ func goEnv(dir, key string) (string, error) {
 // Load lists patterns and type-checks every non-test module package
 // they resolve to, in a shared Loader whose result is returned along
 // with the Loader (for config construction and further queries).
-func Load(moduleDir string, patterns []string, cacheFile string) (*Loader, []*Package, error) {
-	lo, err := List(moduleDir, patterns, cacheFile)
+func Load(moduleDir string, patterns []string) (*Loader, []*Package, error) {
+	modulePath, err := modulePathOf(moduleDir)
 	if err != nil {
 		return nil, nil, err
 	}
-	l := NewLoader(lo.ModuleDir, lo.ModulePath, lo.GoRoot)
+	goroot, err := goEnv(moduleDir, "GOROOT")
+	if err != nil {
+		return nil, nil, err
+	}
+	listed, err := goList(moduleDir, patterns)
+	if err != nil {
+		return nil, nil, err
+	}
+	l := NewLoader(moduleDir, modulePath, goroot)
 	var pkgs []*Package
-	for _, lp := range lo.Packages {
+	for _, lp := range listed {
 		if lp.Standard || len(lp.GoFiles) == 0 {
 			continue
 		}

@@ -28,71 +28,39 @@ var LockDiscipline = &Analyzer{
 	Run:  runLockDiscipline,
 }
 
-// lockOp is one mutex method call site inside a function body.
-type lockOp struct {
-	call  *ast.CallExpr
-	name  string // Lock, RLock, Unlock, RUnlock, TryLock, TryRLock
-	expr  string // rendered receiver, e.g. "m.mu"; "" if unrenderable
-	class string // lock class, e.g. "jobs.Manager.mu"; "" if local
-}
-
 func runLockDiscipline(p *Pass) {
 	info := p.Pkg.Info
 	checkLockCatalogCoverage(p)
 	for _, f := range p.Pkg.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
+			if !ok || fd.Body == nil || !callsMutexMethod(info, fd.Body) {
 				continue
 			}
-			ops := collectLockOps(info, fd.Body)
-			if len(ops) == 0 {
-				continue
-			}
-			checkPairing(p, fd, ops)
+			checkPairing(p, fd)
 			checkOrdering(p, fd)
 		}
 	}
 }
 
-// collectLockOps finds every mutex method call in body, excluding
-// goroutine bodies (their locking belongs to the spawned goroutine's
-// own analysis — the literal is also a FuncLit we do descend into
-// when walking its own enclosing function? No: a go-spawned literal
-// runs on another stack; its pairing is checked here too, because a
-// leak there is just as real, but its ops must not be confused with
-// the spawner's. They are kept: pairing is per-path from the Lock,
-// and the CFG covers the literal's statements only through the go
-// statement node, which EveryPath never descends into — so go-body
-// ops are collected but never produce cross-talk in path queries.)
-func collectLockOps(info *types.Info, body *ast.BlockStmt) []lockOp {
-	var ops []lockOp
+// callsMutexMethod reports whether body, function literals included,
+// calls any sync.Mutex/RWMutex method.
+func callsMutexMethod(info *types.Info, body *ast.BlockStmt) bool {
+	found := false
 	ast.Inspect(body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
+		if call, ok := n.(*ast.CallExpr); ok && !found {
+			_, found = mutexMethod(calleeFunc(info, call))
 		}
-		name, ok := mutexMethod(calleeFunc(info, call))
-		if !ok {
-			return true
-		}
-		recv := lockRecv(call)
-		ops = append(ops, lockOp{
-			call:  call,
-			name:  name,
-			expr:  lockExprText(recv),
-			class: LockClass(info, recv),
-		})
-		return true
+		return !found
 	})
-	return ops
+	return found
 }
 
 // checkPairing proves each acquisition is released on every path to
 // exit. Works per goroutine body: the function's own statements are
 // checked against the function's CFG; each go-spawned or deferred
 // function literal gets its own CFG.
-func checkPairing(p *Pass, fd *ast.FuncDecl, ops []lockOp) {
+func checkPairing(p *Pass, fd *ast.FuncDecl) {
 	// Bodies to check independently: the function itself plus every
 	// function literal (deferred, spawned, or stored — each runs with
 	// its own stack frame and must balance its own acquisitions,

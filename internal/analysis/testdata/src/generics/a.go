@@ -1,5 +1,5 @@
 // Fixture: type-parameterized code type-checks and runs through every
-// analyzer — flow-aware ones included — without findings or panics.
+// analyzer — lockdiscipline included — without findings or panics.
 package generics
 
 import (
@@ -40,8 +40,8 @@ func Map[T, U any](xs []T, f func(T) U) []U {
 	return out
 }
 
-// Watch exercises goroutine analysis over a generic function: the
-// spawn is ctx-tied, so goroleak stays quiet.
+// Watch exercises a go statement inside a generic function: the
+// spawned closure flows through the CFG and summary layers.
 func Watch[T any](ctx context.Context, ch chan T) {
 	go func() {
 		for {

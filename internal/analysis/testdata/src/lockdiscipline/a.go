@@ -83,3 +83,12 @@ func global(o *Outer) {
 	o.mu.Lock() // want: globalMu ranks after Outer
 	defer o.mu.Unlock()
 }
+
+// spawnUnderLock starts relock on another goroutine while holding
+// Inner.mu. The goroutine does not extend this stack's hold chain, so
+// this is no inversion, and the summary acquires only Inner.mu.
+func spawnUnderLock(o *Outer, i *Inner) {
+	i.mu.RLock()
+	defer i.mu.RUnlock()
+	go relock(o)
+}

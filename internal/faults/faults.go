@@ -312,13 +312,11 @@ func Check(name string) error {
 	}
 	switch pt.action {
 	case ActPanic:
-		//lint:ignore rplint/hotalloc allocating the injected panic value happens only when a fault actually fires; the AllocsPerRun pin covers the disabled fast path above
 		panic(&InjectedError{Point: name})
 	case ActDelay:
 		time.Sleep(pt.delay)
 		return nil
 	default:
-		//lint:ignore rplint/hotalloc allocating the injected error happens only when a fault actually fires; the AllocsPerRun pin covers the disabled fast path above
 		return &InjectedError{Point: name}
 	}
 }

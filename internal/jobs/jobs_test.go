@@ -329,8 +329,16 @@ func TestPinnedRetention(t *testing.T) {
 		healthy = append(healthy, j.ID)
 	}
 	done.await(t, 21)
-	if _, ok := m.Get(healthy[0]); ok {
-		t.Fatal("oldest healthy job survived a full done ring")
+	// The pool finishes jobs out of submission order, so which four
+	// survive varies; how many does not.
+	retained := 0
+	for _, id := range healthy {
+		if _, ok := m.Get(id); ok {
+			retained++
+		}
+	}
+	if retained != 4 {
+		t.Fatalf("%d of %d healthy jobs retained, want StoreCap=4", retained, len(healthy))
 	}
 	got, ok := m.Get(bad.ID)
 	if !ok || got.State != StateFailed || !errors.Is(got.Err, failErr) {

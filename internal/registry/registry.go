@@ -149,37 +149,6 @@ func LockOrder() []string {
 	}
 }
 
-// Hot-path catalog: functions pinned allocation-free (or
-// allocation-flat) by AllocsPerRun tests. The rplint hotalloc
-// analyzer holds their bodies to allocation discipline — no fmt
-// calls, no growth-by-append without visible preallocation, no
-// escaping closure captures, no interface-boxing conversions — and,
-// when compiler escape facts are loaded (rplint -facts), rejects any
-// heap-escape the compiler reports inside them. Names are in
-// FuncDisplay form: pkg.Func, pkg.Type.Method, or pkg.(*Type).Method.
-func HotPaths() []string {
-	return []string{
-		// internal/trace: the nil-trace and sampled-out span paths
-		// (TestNilTraceAllocatesNothing, TestSampledOutSpanPathAllocatesNothing).
-		"trace.(*Trace).StartStage",
-		"trace.(*Trace).Count",
-		"trace.(*Trace).CountBool",
-		"trace.(*Trace).RecordLevel",
-		"trace.(*Trace).AttachSpans",
-		"trace.(*Recording).AddSpan",
-		"trace.(*Recording).Annotate",
-		"trace.ParseTraceparent",
-		// internal/obs: the per-request steady-state observation path
-		// (TestQuantilesObserveAllocationFree, recorder/IDGen pins).
-		"obs.(*Quantiles).Observe",
-		"obs.(*Recorder).Record",
-		"obs.(*IDGen).Next",
-		// internal/faults: the disabled-check fast path pinned at zero
-		// overhead (TestDisabledCheckIsFreeAndAllocationless).
-		"faults.Check",
-	}
-}
-
 // Prometheus metric family names exposed on GET /metrics. Every
 // family emitted anywhere in the tree must be declared here and
 // documented in the README metric table (rplint enforces both).
@@ -380,6 +349,5 @@ func Validate() []string {
 	check("trace counter", TraceCounters())
 	check("metric family", MetricNames())
 	check("lock class", LockOrder())
-	check("hot path", HotPaths())
 	return problems
 }

@@ -73,15 +73,3 @@ func TestLockOrderShape(t *testing.T) {
 		}
 	}
 }
-
-func TestHotPathsShape(t *testing.T) {
-	paths := HotPaths()
-	if len(paths) == 0 {
-		t.Fatal("no hot paths registered")
-	}
-	for _, p := range paths {
-		if !strings.Contains(p, ".") {
-			t.Errorf("hot path %q is not pkg.Func / pkg.(*Type).Method shaped", p)
-		}
-	}
-}

@@ -391,7 +391,8 @@ func (s *Server) onFastBurn(objective string) {
 	if s.profiles == nil {
 		return
 	}
-	//lint:ignore rplint/goroleak capture is bounded by the CPU-profile window and must outlive the engine tick that triggered it; tying it to the run ctx would abort the post-mortem it exists to take
+	// Not tied to the run ctx: cancelling would abort the post-mortem
+	// the capture exists to take; the profile window bounds it.
 	go func() {
 		dir, err := s.profiles.Capture("fast_burn-" + objective)
 		switch {
@@ -732,7 +733,6 @@ func (s *Server) Run(ctx context.Context) error {
 		// no in-flight work worth draining, so Close (not Shutdown) is
 		// enough.
 		dbg := &http.Server{Handler: s.DebugHandler(), ReadHeaderTimeout: 10 * time.Second}
-		//lint:ignore rplint/goroleak Serve returns when the deferred dbg.Close() below closes the listener; the lifecycle tie is the listener, not a ctx
 		go func() { _ = dbg.Serve(dln) }()
 		defer dbg.Close()
 	}
@@ -751,7 +751,8 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 		ReadHeaderTimeout: 10 * time.Second,
 	}
 	errCh := make(chan error, 1)
-	//lint:ignore rplint/goroleak Serve returns when Shutdown/Close below closes the listener and the buffered errCh lets the send complete; the lifecycle tie is the listener, not a ctx
+	// Serve returns once Shutdown/Close below closes the listener; the
+	// buffered errCh lets its send complete.
 	go func() { errCh <- srv.Serve(ln) }()
 
 	select {

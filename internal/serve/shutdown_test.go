@@ -2,8 +2,12 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"net"
 	"net/http"
+	"net/http/httptest"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -180,4 +184,56 @@ func TestShutdownUnderLoad(t *testing.T) {
 	// Close after Serve's own Close, twice more: idempotent.
 	s.Close()
 	s.Close()
+}
+
+// TestShutdownLeavesNoGoroutines: Close stops every goroutine a Server
+// started, including the owners of the tree's tickers (the job
+// manager's reaper, the WAL's group-commit sync loop and the SLO
+// engine), for a plain server and for a durable one.
+func TestShutdownLeavesNoGoroutines(t *testing.T) {
+	start := runtime.NumGoroutine()
+	body := detectBody(t, sineSeries(256, 32, 61), nil, false)
+	for _, cfg := range []Config{
+		{},
+		{JobsDataDir: t.TempDir(), JobsFsync: "25ms"},
+	} {
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := s.Handler()
+		do := func(method, path, body string) *httptest.ResponseRecorder {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(body)))
+			return rec
+		}
+		if rec := do(http.MethodPost, "/v1/detect", body); rec.Code != http.StatusOK {
+			t.Fatalf("detect: %d %s", rec.Code, rec.Body)
+		}
+		rec := do(http.MethodPost, "/v1/jobs", body)
+		var sub JobSubmitResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &sub); rec.Code != http.StatusAccepted || err != nil {
+			t.Fatalf("job submit: %d %s", rec.Code, rec.Body)
+		}
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+			var st JobStatusResponse
+			if err := json.Unmarshal(do(http.MethodGet, sub.StatusURL, "").Body.Bytes(), &st); err == nil && st.State == "done" {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("job %s did not finish (state %q)", sub.JobID, st.State)
+			}
+		}
+		running := runtime.NumGoroutine()
+		s.Close()
+
+		for deadline := time.Now().Add(3 * time.Second); runtime.NumGoroutine() > start; time.Sleep(10 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				stacks := make([]byte, 1<<20)
+				stacks = stacks[:runtime.Stack(stacks, true)]
+				t.Fatalf("durable=%v: %d goroutines 3s after Close (%d before New, %d while running):\n%s",
+					cfg.JobsDataDir != "", runtime.NumGoroutine(), start, running, stacks)
+			}
+		}
+	}
 }

@@ -193,10 +193,8 @@ func (t *Trace) Count(stage, key string, n int64) {
 		return
 	}
 	t.mu.Lock()
-	//lint:ignore rplint/hotalloc t.acc allocates the stage accumulator once on first touch; steady-state Count — what the AllocsPerRun pin measures — reuses it
 	acc := t.acc(stage)
 	if acc.counters == nil {
-		//lint:ignore rplint/hotalloc the counter map is created once per stage on first touch; steady-state Count is map-assign only
 		acc.counters = make(map[string]int64)
 	}
 	acc.counters[key] += n
