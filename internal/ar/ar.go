@@ -146,45 +146,6 @@ func aic(n int, sigma2 float64, order int) float64 {
 	return float64(n)*math.Log(sigma2) + 2*float64(order+1)
 }
 
-// PACF returns the partial autocorrelation function of x at lags
-// 1..maxLag: the sequence of reflection coefficients produced by the
-// Levinson-Durbin recursion on the sample autocovariances. The PACF of
-// an AR(p) process cuts off after lag p, which is the classical order
-// diagnostic.
-func PACF(x []float64, maxLag int) ([]float64, error) {
-	n := len(x)
-	if maxLag < 1 || maxLag >= n {
-		return nil, fmt.Errorf("ar: maxLag %d out of range for n=%d", maxLag, n)
-	}
-	c, _ := autocovariance(x, maxLag)
-	if c[0] <= 0 {
-		return nil, fmt.Errorf("ar: zero-variance series")
-	}
-	out := make([]float64, maxLag)
-	a := make([]float64, maxLag)
-	prev := make([]float64, maxLag)
-	e := c[0]
-	for k := 1; k <= maxLag; k++ {
-		acc := c[k]
-		for j := 1; j < k; j++ {
-			acc -= a[j-1] * c[k-j]
-		}
-		if e <= 0 {
-			// Degenerate remainder: later partials are numerically 0.
-			break
-		}
-		kappa := acc / e
-		out[k-1] = kappa
-		copy(prev, a[:k-1])
-		a[k-1] = kappa
-		for j := 1; j < k; j++ {
-			a[j-1] = prev[j-1] - kappa*prev[k-1-j]
-		}
-		e *= 1 - kappa*kappa
-	}
-	return out, nil
-}
-
 // FitAIC fits AR models of order 1..maxOrder with the given fitter
 // ("yw" or "burg") and returns the model minimizing AIC. maxOrder <= 0
 // picks the R default min(n−1, 10·log10(n)).

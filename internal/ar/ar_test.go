@@ -100,54 +100,6 @@ func TestFitAICSelectsReasonableOrder(t *testing.T) {
 	}
 }
 
-func TestPACFCutsOffForAR(t *testing.T) {
-	// AR(2): PACF significant at lags 1-2, then within sampling noise.
-	x := simulateAR([]float64{1.2, -0.5}, 1, 20000, 11)
-	pacf, err := PACF(x, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(pacf[1]-(-0.5)) > 0.05 {
-		t.Errorf("pacf[2] = %v, want ~-0.5 (the AR(2) coefficient)", pacf[1])
-	}
-	bound := 3 / math.Sqrt(20000)
-	for lag := 3; lag <= 8; lag++ {
-		if math.Abs(pacf[lag-1]) > bound {
-			t.Errorf("pacf[%d] = %v, want within ±%v after the cutoff", lag, pacf[lag-1], bound)
-		}
-	}
-}
-
-func TestPACFWhiteNoiseSmallEverywhere(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	x := make([]float64, 10000)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	pacf, err := PACF(x, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bound := 4 / math.Sqrt(float64(len(x)))
-	for lag, v := range pacf {
-		if math.Abs(v) > bound {
-			t.Errorf("white-noise pacf[%d] = %v", lag+1, v)
-		}
-	}
-}
-
-func TestPACFErrors(t *testing.T) {
-	if _, err := PACF(make([]float64, 10), 0); err == nil {
-		t.Error("maxLag 0 should error")
-	}
-	if _, err := PACF(make([]float64, 10), 10); err == nil {
-		t.Error("maxLag >= n should error")
-	}
-	if _, err := PACF(make([]float64, 50), 5); err == nil {
-		t.Error("constant series should error")
-	}
-}
-
 func TestErrors(t *testing.T) {
 	if _, err := YuleWalker([]float64{1, 2, 3}, 5); err == nil {
 		t.Error("order >= n should error")

@@ -856,18 +856,3 @@ func Passband(n, level int) (kLo, kHi int) {
 	}
 	return kLo, kHi
 }
-
-// NumLevels returns the MODWT depth Detect will use for a series of
-// length n under opts; exposed for diagnostics and tests.
-func NumLevels(n int, opts Options) int {
-	opts = opts.withDefaults(n)
-	f, err := wavelet.NewFilter(opts.Wavelet)
-	if err != nil {
-		return 0
-	}
-	levels := wavelet.MaxLevel(n, f)
-	if opts.MaxLevels > 0 && opts.MaxLevels < levels {
-		levels = opts.MaxLevels
-	}
-	return levels
-}

@@ -310,18 +310,6 @@ func TestSamePeriod(t *testing.T) {
 	}
 }
 
-func TestNumLevels(t *testing.T) {
-	if NumLevels(1000, Options{}) < 5 {
-		t.Error("too few levels for n=1000")
-	}
-	if NumLevels(1000, Options{MaxLevels: 3}) != 3 {
-		t.Error("MaxLevels cap ignored")
-	}
-	if NumLevels(100, Options{Wavelet: wavelet.Kind(9)}) != 0 {
-		t.Error("bad wavelet should give 0")
-	}
-}
-
 func TestDetectSkipPreprocess(t *testing.T) {
 	// Pre-normalized data detected without the HP/winsorize stage.
 	x := paperSynthetic(1000, []int{50}, 0.05, 0, 9)

@@ -1,8 +1,8 @@
 // Package fft implements the fast Fourier transform substrate that
 // RobustPeriod's spectral machinery is built on: an iterative radix-2
 // Cooley-Tukey transform for power-of-two sizes, Bluestein's chirp-z
-// algorithm for arbitrary sizes, real-input helpers, and fast circular
-// convolution. Only the standard library is used.
+// algorithm for arbitrary sizes, and real-input helpers (periodogram,
+// autocorrelation). Only the standard library is used.
 //
 // Conventions: FFT computes X[k] = Σ_t x[t]·exp(-2πi·kt/N) (no
 // normalization); IFFT divides by N so IFFT(FFT(x)) == x.
@@ -308,52 +308,6 @@ func Periodogram(x []float64) []float64 {
 		p[k] = (re*re + im*im) * inv
 	}
 	return p
-}
-
-// CircularConvolve returns the circular convolution of a and b, which
-// must have equal length. Runs in O(N log N) via the FFT.
-func CircularConvolve(a, b []float64) []float64 {
-	if len(a) != len(b) {
-		panic("fft: CircularConvolve length mismatch")
-	}
-	fa := FFTReal(a)
-	fb := FFTReal(b)
-	for i := range fa {
-		fa[i] *= fb[i]
-	}
-	return IFFTReal(fa)
-}
-
-// LinearConvolve returns the full linear convolution of a and b
-// (length len(a)+len(b)-1) computed by zero-padded FFTs.
-func LinearConvolve(a, b []float64) []float64 {
-	if len(a) == 0 || len(b) == 0 {
-		return nil
-	}
-	n := len(a) + len(b) - 1
-	m := 1
-	for m < n {
-		m <<= 1
-	}
-	fa := make([]complex128, m)
-	fb := make([]complex128, m)
-	for i, v := range a {
-		fa[i] = complex(v, 0)
-	}
-	for i, v := range b {
-		fb[i] = complex(v, 0)
-	}
-	Transform(fa)
-	Transform(fb)
-	for i := range fa {
-		fa[i] *= fb[i]
-	}
-	InverseTransform(fa)
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = real(fa[i])
-	}
-	return out
 }
 
 // Autocorrelation returns the biased sample autocovariance-based ACF

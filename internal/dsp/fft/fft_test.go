@@ -214,63 +214,6 @@ func TestPeriodogramEmpty(t *testing.T) {
 	}
 }
 
-func TestCircularConvolveKnown(t *testing.T) {
-	a := []float64{1, 2, 3, 4}
-	b := []float64{1, 0, 0, 0}
-	got := CircularConvolve(a, b)
-	for i := range a {
-		if math.Abs(got[i]-a[i]) > 1e-10 {
-			t.Fatalf("identity convolution broken: %v", got)
-		}
-	}
-	// Shift kernel: delta at index 1 rotates the signal.
-	b = []float64{0, 1, 0, 0}
-	got = CircularConvolve(a, b)
-	want := []float64{4, 1, 2, 3}
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-10 {
-			t.Fatalf("shift convolution: got %v want %v", got, want)
-		}
-	}
-}
-
-func TestCircularConvolveMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	CircularConvolve([]float64{1, 2}, []float64{1})
-}
-
-func TestLinearConvolveMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	for trial := 0; trial < 30; trial++ {
-		na := 1 + rng.Intn(40)
-		nb := 1 + rng.Intn(40)
-		a := make([]float64, na)
-		b := make([]float64, nb)
-		for i := range a {
-			a[i] = rng.NormFloat64()
-		}
-		for i := range b {
-			b[i] = rng.NormFloat64()
-		}
-		got := LinearConvolve(a, b)
-		want := make([]float64, na+nb-1)
-		for i := 0; i < na; i++ {
-			for j := 0; j < nb; j++ {
-				want[i+j] += a[i] * b[j]
-			}
-		}
-		for i := range want {
-			if math.Abs(got[i]-want[i]) > 1e-9 {
-				t.Fatalf("trial %d: idx %d got %v want %v", trial, i, got[i], want[i])
-			}
-		}
-	}
-}
-
 func TestAutocorrelationProperties(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	x := make([]float64, 500)

@@ -86,24 +86,24 @@ func TestCrashRecoveryEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	if stA.State != "done" || stA.Result == nil || len(stA.Result.Periods) == 0 || stA.Result.Periods[0] != 24 {
-		t.Fatalf("recovered job A = %q (result %v), want done with period 24", stA.State, stA.Result)
+		t.Fatalf("recovered job A = %q (result %v, error %+v), want done with period 24", stA.State, stA.Result, stA.Error)
 	}
 
 	// B: its computation died with the process — failed, with the
 	// distinguishable resubmit-me code, not shutting_down and not 404.
 	stB := pollJob(t, api2, subB)
 	if stB.State != "failed" || stB.Error == nil {
-		t.Fatalf("recovered job B = %q (error %v), want failed", stB.State, stB.Error)
+		t.Fatalf("recovered job B = %q (error %+v), want failed", stB.State, stB.Error)
 	}
 	if stB.Error.Code != "lost_to_restart" {
-		t.Fatalf("recovered job B error code = %q, want lost_to_restart", stB.Error.Code)
+		t.Fatalf("recovered job B error = %+v, want code lost_to_restart", stB.Error)
 	}
 
 	// C: was queued at crash time; recovery re-enqueued it and it runs
 	// to completion on the restarted worker.
 	stC := pollJob(t, api2, subC)
 	if stC.State != "done" || stC.Result == nil || stC.Result.Periods[0] != 48 {
-		t.Fatalf("recovered job C = %q (result %v), want done with period 48", stC.State, stC.Result)
+		t.Fatalf("recovered job C = %q (result %v, error %+v), want done with period 48", stC.State, stC.Result, stC.Error)
 	}
 
 	// The recovery counters surface in a conformant scrape: A restored

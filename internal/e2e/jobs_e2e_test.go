@@ -32,7 +32,8 @@ type jobStatus struct {
 		Periods []int `json:"periods"`
 	} `json:"result"`
 	Error *struct {
-		Code string `json:"code"`
+		Code    string `json:"code"`
+		Message string `json:"message"`
 	} `json:"error"`
 }
 

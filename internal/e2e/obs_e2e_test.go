@@ -33,11 +33,17 @@ type logEvent struct {
 // startServer builds rpserved, starts it on ephemeral ports with the
 // given fault plan plus any extra command-line flags, and returns the
 // API base URL, the debug base URL, the running process, and a channel
-// that receives its exit error.
+// that receives its exit error. Under -race the server is built with
+// the race detector as well and exits at its first race; the test then
+// fails with the report.
 func startServer(t *testing.T, faultPlan string, extra ...string) (api, debug string, cmd *exec.Cmd, done chan error) {
 	t.Helper()
 	bin := filepath.Join(t.TempDir(), "rpserved")
-	build := exec.Command("go", "build", "-o", bin, "robustperiod/cmd/rpserved")
+	buildArgs := []string{"build", "-o", bin}
+	if raceEnabled {
+		buildArgs = append(buildArgs, "-race")
+	}
+	build := exec.Command("go", append(buildArgs, "robustperiod/cmd/rpserved")...)
 	build.Dir = "../.."
 	if out, err := build.CombinedOutput(); err != nil {
 		t.Fatalf("go build rpserved: %v\n%s", err, out)
@@ -54,6 +60,9 @@ func startServer(t *testing.T, faultPlan string, extra ...string) (api, debug st
 	args = append(args, extra...)
 	cmd = exec.Command(bin, args...)
 	cmd.Env = append(os.Environ(), "RP_FAULTS="+faultPlan)
+	if raceEnabled {
+		cmd.Env = append(cmd.Env, "GORACE=halt_on_error=1")
+	}
 	stderr, err := cmd.StderrPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -61,7 +70,17 @@ func startServer(t *testing.T, faultPlan string, extra ...string) (api, debug st
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { cmd.Process.Kill() })
+	// Stderr lines that are not JSON log events: a race report or a
+	// crash, read back once the process is gone.
+	var raw strings.Builder
+	scanned := make(chan struct{})
+	t.Cleanup(func() {
+		cmd.Process.Kill()
+		<-scanned
+		if strings.Contains(raw.String(), "WARNING: DATA RACE") {
+			t.Errorf("rpserved reported a data race:\n%s", raw.String())
+		}
+	})
 
 	// The server logs its actual bound addresses; that is the e2e port
 	// discovery contract for -addr 127.0.0.1:0.
@@ -73,6 +92,8 @@ func startServer(t *testing.T, faultPlan string, extra ...string) (api, debug st
 		for sc.Scan() {
 			var ev logEvent
 			if json.Unmarshal(sc.Bytes(), &ev) != nil {
+				raw.Write(sc.Bytes())
+				raw.WriteByte('\n')
 				continue
 			}
 			switch ev.Msg {
@@ -88,6 +109,7 @@ func startServer(t *testing.T, faultPlan string, extra ...string) (api, debug st
 				}
 			}
 		}
+		close(scanned)
 		done <- cmd.Wait()
 	}()
 	select {

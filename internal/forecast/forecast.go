@@ -56,29 +56,6 @@ func min(a, b int) int {
 	return b
 }
 
-// MASE returns the mean absolute scaled error (Hyndman & Koehler
-// 2006): the forecast MAE divided by the in-sample MAE of the
-// seasonal-naive method at the given period (period <= 1 scales by the
-// naive one-step method). A value below 1 means the forecast beats
-// the naive benchmark. It returns NaN when the scale is degenerate.
-func MASE(forecast, truth, train []float64, period int) float64 {
-	if period < 1 {
-		period = 1
-	}
-	if len(train) <= period {
-		return math.NaN()
-	}
-	scale := 0.0
-	for i := period; i < len(train); i++ {
-		scale += math.Abs(train[i] - train[i-period])
-	}
-	scale /= float64(len(train) - period)
-	if scale == 0 {
-		return math.NaN()
-	}
-	return MAE(forecast, truth) / scale
-}
-
 // Mean is the no-seasonality fallback: it predicts the training mean.
 type Mean struct{}
 

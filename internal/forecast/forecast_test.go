@@ -70,27 +70,6 @@ func TestMetrics(t *testing.T) {
 	}
 }
 
-func TestMASE(t *testing.T) {
-	// Train with seasonal-naive error 2 per step at period 2.
-	train := []float64{0, 0, 2, 2, 4, 4, 6, 6}
-	truth := []float64{8, 8}
-	perfect := []float64{8, 8}
-	if got := MASE(perfect, truth, train, 2); got != 0 {
-		t.Errorf("perfect forecast MASE %v", got)
-	}
-	// Forecast off by exactly the naive scale (2) → MASE 1.
-	naiveLike := []float64{6, 6}
-	if got := MASE(naiveLike, truth, train, 2); math.Abs(got-1) > 1e-12 {
-		t.Errorf("naive-equivalent MASE %v, want 1", got)
-	}
-	if !math.IsNaN(MASE(perfect, truth, []float64{1}, 2)) {
-		t.Error("too-short train should give NaN")
-	}
-	if !math.IsNaN(MASE(perfect, truth, []float64{3, 3, 3, 3}, 1)) {
-		t.Error("constant train (zero scale) should give NaN")
-	}
-}
-
 func TestMASEGradesForecasters(t *testing.T) {
 	x := seasonalSeries(600, []int{24}, 0.2, 9)
 	train, test := x[:480], x[480:]
@@ -98,14 +77,17 @@ func TestMASEGradesForecasters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad, _ := Mean{}.Forecast(train, len(test))
-	mGood := MASE(good, test, train, 24)
-	mBad := MASE(bad, test, train, 24)
-	if mGood >= mBad {
-		t.Errorf("seasonal model MASE %v should beat mean %v", mGood, mBad)
+	mean, _ := Mean{}.Forecast(train, len(test))
+	naive, err := SeasonalNaive{Period: 24}.Forecast(train, len(test))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if mGood > 1 {
-		t.Errorf("seasonal model MASE %v should beat the naive benchmark", mGood)
+	rGood, rMean, rNaive := RMSE(good, test), RMSE(mean, test), RMSE(naive, test)
+	if rGood >= rMean {
+		t.Errorf("seasonal model RMSE %v should beat mean %v", rGood, rMean)
+	}
+	if rGood >= rNaive {
+		t.Errorf("seasonal model RMSE %v should beat seasonal naive %v", rGood, rNaive)
 	}
 }
 

@@ -255,6 +255,19 @@ func New(cfg Config) (*Server, error) {
 	if cfg.ProfileDir != "" {
 		s.profiles = slo.NewProfileRing(cfg.ProfileDir, cfg.ProfileMax, cfg.ProfileCPU)
 	}
+	// Everything execJob and onJobDone read must exist before jobs.Open:
+	// a recovered queued job can reach a worker before Open returns.
+	s.breakers = map[string]*breaker{
+		epDetect: newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
+		epBatch:  newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
+		epJobs:   newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
+	}
+	s.metrics = newMetrics(
+		[]string{epDetect, epBatch, epJobs, epJobStatus, epHealthz, epMetrics},
+		s.pool.depth, s.cache.len,
+	)
+	s.metrics.registerBreakers(s.breakers)
+	s.metrics.registerCacheCorruptions(s.cache.corrupted)
 	var durability *jobs.Durability
 	if cfg.JobsDataDir != "" {
 		policy, interval, err := wal.ParsePolicy(cfg.JobsFsync)
@@ -293,17 +306,6 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s.jobs = mgr
-	s.breakers = map[string]*breaker{
-		epDetect: newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
-		epBatch:  newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
-		epJobs:   newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
-	}
-	s.metrics = newMetrics(
-		[]string{epDetect, epBatch, epJobs, epJobStatus, epHealthz, epMetrics},
-		s.pool.depth, s.cache.len,
-	)
-	s.metrics.registerBreakers(s.breakers)
-	s.metrics.registerCacheCorruptions(s.cache.corrupted)
 	// The EWMA is kept in nanoseconds (duration arithmetic in admit and
 	// jobRetrySeconds); the _seconds gauge converts at the edge.
 	s.metrics.registerJobs(s.jobs, s.jobLatQ, func() float64 {

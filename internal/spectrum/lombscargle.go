@@ -130,24 +130,3 @@ func medianFloat(x []float64) float64 {
 	}
 	return (buf[m-1] + buf[m]) / 2
 }
-
-// DominantLombScarglePeriod runs Lomb–Scargle on the default grid and
-// returns the period (in time units) of the highest ordinate along
-// with that ordinate's value; period 0 means no usable grid.
-func DominantLombScarglePeriod(ts, y []float64) (period, power float64) {
-	freqs := LombScargleFrequencyGrid(ts, 4)
-	if len(freqs) == 0 {
-		return 0, 0
-	}
-	p, err := LombScargle(ts, y, freqs)
-	if err != nil {
-		return 0, 0
-	}
-	best := 0
-	for i := range p {
-		if p[i] > p[best] {
-			best = i
-		}
-	}
-	return 1 / freqs[best], p[best]
-}

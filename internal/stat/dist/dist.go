@@ -1,7 +1,7 @@
 // Package dist provides the probability distributions and significance
-// tests RobustPeriod relies on: the normal and chi-square CDFs, the
-// exact null distribution of Fisher's g-statistic for periodogram
-// ordinates, and the Siegel multi-period threshold derived from it.
+// tests RobustPeriod relies on: the normal CDF, the exact null
+// distribution of Fisher's g-statistic for periodogram ordinates, and
+// the Siegel multi-period threshold derived from it.
 package dist
 
 import (
@@ -12,120 +12,6 @@ import (
 // NormalCDF returns P(Z <= x) for a standard normal Z.
 func NormalCDF(x float64) float64 {
 	return 0.5 * math.Erfc(-x/math.Sqrt2)
-}
-
-// NormalQuantile returns the x with NormalCDF(x) = p, using the
-// Acklam rational approximation refined by one Halley step. It returns
-// ±Inf for p at {0,1} and NaN outside [0,1].
-func NormalQuantile(p float64) float64 {
-	switch {
-	case math.IsNaN(p) || p < 0 || p > 1:
-		return math.NaN()
-	case p == 0:
-		return math.Inf(-1)
-	//lint:ignore rplint/floateq boundary of the quantile domain: exactly 1.0 maps to +Inf; any nearby value takes the Acklam path
-	case p == 1:
-		return math.Inf(1)
-	}
-	// Acklam's approximation.
-	const (
-		pLow  = 0.02425
-		pHigh = 1 - pLow
-	)
-	var x float64
-	a := [6]float64{-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02, 1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00}
-	b := [5]float64{-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02, 6.680131188771972e+01, -1.328068155288572e+01}
-	c := [6]float64{-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00, -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00}
-	d := [4]float64{7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00, 3.754408661907416e+00}
-	switch {
-	case p < pLow:
-		q := math.Sqrt(-2 * math.Log(p))
-		x = (((((c[0]*q+c[1])*q+c[2])*q+c[3])*q+c[4])*q + c[5]) /
-			((((d[0]*q+d[1])*q+d[2])*q+d[3])*q + 1)
-	case p <= pHigh:
-		q := p - 0.5
-		r := q * q
-		x = (((((a[0]*r+a[1])*r+a[2])*r+a[3])*r+a[4])*r + a[5]) * q /
-			(((((b[0]*r+b[1])*r+b[2])*r+b[3])*r+b[4])*r + 1)
-	default:
-		q := math.Sqrt(-2 * math.Log(1-p))
-		x = -(((((c[0]*q+c[1])*q+c[2])*q+c[3])*q+c[4])*q + c[5]) /
-			((((d[0]*q+d[1])*q+d[2])*q+d[3])*q + 1)
-	}
-	// One Halley refinement.
-	e := NormalCDF(x) - p
-	u := e * math.Sqrt(2*math.Pi) * math.Exp(x*x/2)
-	x = x - u/(1+x*u/2)
-	return x
-}
-
-// GammaLowerRegularized returns P(a, x), the regularized lower
-// incomplete gamma function, via the series expansion for x < a+1 and
-// the continued fraction otherwise (Numerical Recipes style).
-func GammaLowerRegularized(a, x float64) float64 {
-	switch {
-	case x < 0 || a <= 0:
-		return math.NaN()
-	case x == 0:
-		return 0
-	}
-	if x < a+1 {
-		return gammaSeries(a, x)
-	}
-	return 1 - gammaContinuedFraction(a, x)
-}
-
-func gammaSeries(a, x float64) float64 {
-	lg, _ := math.Lgamma(a)
-	ap := a
-	sum := 1 / a
-	del := sum
-	for i := 0; i < 500; i++ {
-		ap++
-		del *= x / ap
-		sum += del
-		if math.Abs(del) < math.Abs(sum)*1e-15 {
-			break
-		}
-	}
-	return sum * math.Exp(-x+a*math.Log(x)-lg)
-}
-
-func gammaContinuedFraction(a, x float64) float64 {
-	const tiny = 1e-300
-	lg, _ := math.Lgamma(a)
-	b := x + 1 - a
-	c := 1 / tiny
-	d := 1 / b
-	h := d
-	for i := 1; i < 500; i++ {
-		an := -float64(i) * (float64(i) - a)
-		b += 2
-		d = an*d + b
-		if math.Abs(d) < tiny {
-			d = tiny
-		}
-		c = b + an/c
-		if math.Abs(c) < tiny {
-			c = tiny
-		}
-		d = 1 / d
-		del := d * c
-		h *= del
-		if math.Abs(del-1) < 1e-15 {
-			break
-		}
-	}
-	return math.Exp(-x+a*math.Log(x)-lg) * h
-}
-
-// ChiSquareCDF returns P(X <= x) for a chi-square variable with k
-// degrees of freedom.
-func ChiSquareCDF(x float64, k float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	return GammaLowerRegularized(k/2, x/2)
 }
 
 // LogChoose returns ln C(n, k) via lgamma.
@@ -235,36 +121,6 @@ func KSStatisticNormal(x []float64, mean, sd float64) float64 {
 		}
 	}
 	return d
-}
-
-// KSPValue returns the asymptotic Kolmogorov tail probability
-// P(D > d) for sample size n via the Kolmogorov series
-// 2 Σ (−1)^{k−1} exp(−2k²λ²) with λ = d(√n + 0.12 + 0.11/√n)
-// (Stephens' small-sample correction).
-func KSPValue(d float64, n int) float64 {
-	if n <= 0 || d <= 0 {
-		return 1
-	}
-	sn := math.Sqrt(float64(n))
-	lambda := d * (sn + 0.12 + 0.11/sn)
-	sum := 0.0
-	for k := 1; k <= 100; k++ {
-		term := 2 * math.Exp(-2*float64(k*k)*lambda*lambda)
-		if k%2 == 0 {
-			term = -term
-		}
-		sum += term
-		if math.Abs(term) < 1e-12 {
-			break
-		}
-	}
-	if sum < 0 {
-		return 0
-	}
-	if sum > 1 {
-		return 1
-	}
-	return sum
 }
 
 // SiegelThreshold returns the per-ordinate threshold t = λ·g_α used by

@@ -225,17 +225,6 @@ func HuberLoss(r, zeta float64) float64 {
 	return zeta*a - 0.5*zeta*zeta
 }
 
-// HuberPsi is the derivative of the Huber loss: r clipped to [-ζ, ζ].
-func HuberPsi(r, zeta float64) float64 {
-	if r > zeta {
-		return zeta
-	}
-	if r < -zeta {
-		return -zeta
-	}
-	return r
-}
-
 // HuberWeight is the IRLS weight ψ(r)/r for the Huber loss, with
 // weight 1 at r = 0.
 func HuberWeight(r, zeta float64) float64 {

@@ -158,10 +158,6 @@ func TransformReflected(x []float64, f *Filter, levels int) (*MODWT, error) {
 	return m, nil
 }
 
-// Reflected reports whether the transform used reflection boundary
-// treatment (in which case Inverse is unavailable).
-func (m *MODWT) Reflected() bool { return m.reflected }
-
 // Inverse reconstructs the original series from the transform. It is
 // the exact inverse of Transform up to floating point error. It
 // panics on a reflection-boundary transform, which is not invertible

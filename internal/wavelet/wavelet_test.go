@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"robustperiod/internal/stat/dist"
 )
 
 func TestFilterProperties(t *testing.T) {
@@ -176,6 +178,17 @@ func TestMODWTInverseRoundTrip(t *testing.T) {
 			}
 		}
 	}
+}
+
+func TestInversePanicsOnReflected(t *testing.T) {
+	x := make([]float64, 128)
+	m, _ := TransformReflected(x, MustFilter(Haar), 2)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic")
+		}
+	}()
+	m.Inverse()
 }
 
 func TestMODWTErrors(t *testing.T) {
@@ -439,6 +452,54 @@ func TestMODWTLinearityProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestMODWTGaussianizes empirically verifies the paper's §3.3.1 claim
+// (via its reference [35], Mallows: "linear processes are nearly
+// Gaussian"): wavelet coefficients of heavy-tailed noise are closer to
+// Gaussian than the raw series, because each coefficient is a weighted
+// sum. The KS distance to a fitted normal must shrink at coarser
+// levels, where the effective filters are longer.
+func TestMODWTGaussianizes(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	n := 4096
+	x := make([]float64, n)
+	for i := range x {
+		// Student-t(3)-like heavy tails: normal over sqrt(chi2/df).
+		den := math.Sqrt((sq(rng.NormFloat64()) + sq(rng.NormFloat64()) + sq(rng.NormFloat64())) / 3)
+		if den < 0.05 {
+			den = 0.05
+		}
+		x[i] = rng.NormFloat64() / den
+	}
+	m, err := Transform(x, MustFilter(Daub8), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ksOf := func(v []float64) float64 {
+		var mean, sd float64
+		for _, u := range v {
+			mean += u
+		}
+		mean /= float64(len(v))
+		for _, u := range v {
+			sd += (u - mean) * (u - mean)
+		}
+		sd = math.Sqrt(sd / float64(len(v)))
+		return dist.KSStatisticNormal(v, mean, sd)
+	}
+	raw := ksOf(x)
+	level4 := ksOf(m.W[3])
+	if level4 >= raw {
+		t.Errorf("level-4 coefficients (D=%v) should be more Gaussian than raw data (D=%v)", level4, raw)
+	}
+	// And the coarser the level, the more Gaussian (longer filters).
+	level1 := ksOf(m.W[0])
+	if level4 >= level1 {
+		t.Errorf("level 4 (D=%v) should beat level 1 (D=%v)", level4, level1)
+	}
+}
+
+func sq(v float64) float64 { return v * v }
 
 func BenchmarkMODWT(b *testing.B) {
 	rng := rand.New(rand.NewSource(6))
