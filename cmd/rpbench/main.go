@@ -1,7 +1,7 @@
 // Command rpbench regenerates the tables and figures of the paper's
 // evaluation section (§4) on the synthetic and surrogate corpora
-// described in DESIGN.md, and doubles as the machine-readable
-// benchmark harness behind the CI bench-guard job.
+// described in DESIGN.md, and doubles as the Tables 1–3 quality gate
+// behind the CI bench-guard job.
 //
 //	rpbench -table all            # every table
 //	rpbench -table 2 -trials 100  # Table 2 with 100 series per corpus
@@ -12,20 +12,18 @@
 // reachable with -trials 1000 if you have the patience.
 //
 // Bench mode scores the RobustPeriod detector on the Tables 1–3
-// corpora and times whole detections (with the per-stage breakdown
-// from the trace layer) at N=500/1000/2000, emitting JSON with schema
+// corpora at ±0% and ±2%, emitting JSON with schema
 // "robustperiod-bench/v1":
 //
-//	rpbench -quick -json bench/                     # write BENCH_<ts>.json
-//	rpbench -quick -baseline bench/BENCH_x.json     # gate against a baseline
-//	rpbench -quick -baseline ... -max-regress 0.2   # allow +20% wall time
-//	rpbench -quick -stage-diff bench/BENCH_x.json   # markdown per-stage diff (non-gating)
+//	rpbench -quick -json bench/quality.json      # write the report
+//	rpbench -quick -baseline bench/quality.json  # gate against a baseline
 //
-// With -baseline, rpbench exits non-zero when any Tables 1–3 quality
-// score drops or whole-detection wall time regresses beyond
-// -max-regress. Quality scores are deterministic in (-trials, -seed),
-// so gate runs must use the same values the baseline was generated
-// with; -quick pins both for CI.
+// With -baseline, rpbench exits 1 when any Tables 1–3 quality score
+// drops. Scores are deterministic in (-trials, -seed), so gate runs
+// must use the values the baseline was generated with; -quick pins
+// both for CI. Bench mode combines with -table, -figure, -ablations
+// and -report, which run after it. Speed is measured by perfbench
+// (perfbench/README.md), not here.
 package main
 
 import (
@@ -34,12 +32,10 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"path/filepath"
 	"strconv"
 	"time"
 
 	"robustperiod/internal/eval"
-	"robustperiod/internal/eval/servicebench"
 	"robustperiod/internal/obs"
 )
 
@@ -55,12 +51,10 @@ func main() {
 		trials    = flag.Int("trials", 50, "series per synthetic corpus")
 		seed      = flag.Int64("seed", 1, "base RNG seed")
 
-		quick      = flag.Bool("quick", false, "bench mode with CI-sized corpora (pins -trials 5 -seed 1)")
-		jsonOut    = flag.String("json", "", "bench mode: write the JSON report to this path (a directory gets BENCH_<timestamp>.json)")
-		baseline   = flag.String("baseline", "", "bench mode: gate the run against this baseline JSON report, exit 1 on regression")
-		stageDiff  = flag.String("stage-diff", "", "bench mode: print a non-gating markdown per-stage diff table against this baseline JSON report")
-		maxRegress = flag.Float64("max-regress", 0.20, "bench gate: allowed whole-detection wall-time regression (0.20 = +20%; negative disables the perf gate)")
-		version    = flag.Bool("version", false, "print build information and exit")
+		quick    = flag.Bool("quick", false, "bench mode with CI-sized corpora (pins -trials 5 -seed 1)")
+		jsonOut  = flag.String("json", "", "bench mode: write the JSON report to this file")
+		baseline = flag.String("baseline", "", "bench mode: gate the run against this baseline JSON report, exit 1 on a quality drop")
+		version  = flag.Bool("version", false, "print build information and exit")
 	)
 	flag.Parse()
 
@@ -69,13 +63,13 @@ func main() {
 		return
 	}
 
-	benchMode := *quick || *jsonOut != "" || *baseline != "" || *stageDiff != ""
+	benchMode := *quick || *jsonOut != "" || *baseline != ""
 	if *table == "" && *figure == "" && !*ablations && *report == "" && !benchMode {
 		flag.Usage()
 		os.Exit(2)
 	}
 	if benchMode {
-		runBench(*quick, *trials, *seed, *jsonOut, *baseline, *stageDiff, *maxRegress)
+		runBench(*quick, *trials, *seed, *jsonOut, *baseline)
 	}
 	if *report != "" {
 		if err := os.WriteFile(*report, []byte(eval.Report(*trials, *seed)), 0o644); err != nil {
@@ -154,10 +148,11 @@ func minInt(a, b int) int {
 	return b
 }
 
-// runBench runs the quality+perf suites and optionally writes the
-// JSON report and/or gates against a baseline. Exits the process:
-// 0 on success, 1 on a failed gate or I/O error.
-func runBench(quick bool, trials int, seed int64, jsonOut, baselinePath, stageDiffPath string, maxRegress float64) {
+// runBench runs the quality suite and optionally writes the JSON
+// report and/or gates against a baseline. It returns on success so the
+// other requested modes still run; a failed gate or an I/O error exits
+// the process with status 1.
+func runBench(quick bool, trials int, seed int64, jsonOut, baselinePath string) {
 	if quick {
 		// Pin the corpus shape so -quick runs are comparable across
 		// machines and across the committed baseline.
@@ -166,45 +161,20 @@ func runBench(quick bool, trials int, seed int64, jsonOut, baselinePath, stageDi
 	log.Printf("bench: trials=%d seed=%d quick=%v", trials, seed, quick)
 	rep := eval.RunBench(quick, trials, seed)
 	rep.Generated = time.Now().UTC().Format(time.RFC3339)
-	service := servicebench.Run(quick, seed)
-	rep.Service = &service
-	log.Printf("bench: service %d requests, %d errors, %d shed, %d degraded",
-		service.Requests, service.Errors, service.Shed, service.Degraded)
-	jobsLeg := servicebench.RunJobs(seed)
-	rep.Jobs = &jobsLeg
-	log.Printf("bench: jobs %d clients/%d keys: %d errors, %d failed, %d shed, %d coalesced (hit rate %.2f), p99 %.0fms",
-		jobsLeg.Clients, jobsLeg.Unique, jobsLeg.Errors, jobsLeg.Failed, jobsLeg.Shed,
-		jobsLeg.Coalesced, jobsLeg.HitRate, jobsLeg.P99MS)
-
 	for _, q := range rep.Quality {
 		log.Printf("bench: %-28s %s=%.4f (p=%.4f r=%.4f f1=%.4f)",
 			q.Key(), q.Metric, q.Score, q.Precision, q.Recall, q.F1)
 	}
-	for _, p := range append(append([]eval.PerfRow(nil), rep.Perf...), rep.PerfAsym...) {
-		log.Printf("bench: %-16s %8.2fms/op  %d allocs/op", p.Name, float64(p.NsPerOp)/1e6, p.AllocsPerOp)
-	}
 
 	if jsonOut != "" {
-		path := jsonOut
-		if fi, err := os.Stat(path); err == nil && fi.IsDir() {
-			path = filepath.Join(path, "BENCH_"+time.Now().UTC().Format("20060102T150405Z")+".json")
-		}
 		buf, err := json.MarshalIndent(rep, "", "  ")
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
+		if err := os.WriteFile(jsonOut, append(buf, '\n'), 0o644); err != nil {
 			log.Fatal(err)
 		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", path)
-	}
-
-	if stageDiffPath != "" {
-		base, err := readBench(stageDiffPath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Print(eval.FormatStageDiff(base, rep))
+		fmt.Fprintf(os.Stderr, "wrote %s\n", jsonOut)
 	}
 
 	if baselinePath != "" {
@@ -212,8 +182,7 @@ func runBench(quick bool, trials int, seed int64, jsonOut, baselinePath, stageDi
 		if err != nil {
 			log.Fatal(err)
 		}
-		violations := eval.CompareBench(base, rep, maxRegress)
-		if len(violations) > 0 {
+		if violations := eval.CompareBench(base, rep); len(violations) > 0 {
 			for _, v := range violations {
 				log.Printf("REGRESSION: %s", v)
 			}
@@ -221,7 +190,6 @@ func runBench(quick bool, trials int, seed int64, jsonOut, baselinePath, stageDi
 		}
 		log.Printf("bench gate passed against %s", baselinePath)
 	}
-	os.Exit(0)
 }
 
 // readBench loads and parses a JSON bench report from disk.

@@ -1,22 +1,17 @@
-// The machine-readable benchmark harness behind `rpbench -json` and
-// the CI bench-guard job: a quality suite scoring the RobustPeriod
-// detector on the Tables 1–3 corpora, a perf suite timing whole
-// detections plus the per-stage breakdown from the trace layer, and a
-// comparator that turns a committed baseline report into a regression
-// gate.
+// The machine-readable quality gate behind `rpbench -json` and the CI
+// bench-guard job: a suite scoring the RobustPeriod detector on the
+// Tables 1–3 corpora, and a comparator that turns a committed baseline
+// report into a regression gate. Speed is judged by perfbench, not
+// here.
 package eval
 
 import (
 	"fmt"
 	"runtime"
 	"sort"
-	"strings"
-	"time"
 
 	"robustperiod/internal/baselines"
-	"robustperiod/internal/core"
 	"robustperiod/internal/synthetic"
-	"robustperiod/internal/trace"
 )
 
 // BenchSchema identifies the report layout; bump on incompatible
@@ -43,20 +38,8 @@ func (q QualityRow) Key() string {
 	return fmt.Sprintf("table%d/%s/tol=%g", q.Table, q.Corpus, q.Tol)
 }
 
-// PerfRow times whole detections at one series length, with the
-// per-stage wall-time breakdown from a traced run.
-type PerfRow struct {
-	Name        string           `json:"name"`
-	N           int              `json:"n"`
-	Iters       int              `json:"iters"`
-	NsPerOp     int64            `json:"nsPerOp"`
-	AllocsPerOp int64            `json:"allocsPerOp"`
-	BytesPerOp  int64            `json:"bytesPerOp"`
-	StageNs     map[string]int64 `json:"stageNs"`
-}
-
-// BenchReport is the full machine-readable result written to
-// BENCH_<timestamp>.json and consumed by CompareBench.
+// BenchReport is the machine-readable result written by `rpbench
+// -json` and consumed by CompareBench.
 type BenchReport struct {
 	Schema    string       `json:"schema"`
 	Generated string       `json:"generated"`
@@ -67,17 +50,6 @@ type BenchReport struct {
 	Trials    int          `json:"trials"`
 	Seed      int64        `json:"seed"`
 	Quality   []QualityRow `json:"quality"`
-	Perf      []PerfRow    `json:"perf"`
-	// PerfAsym holds the long-series N=8192/16384 legs that pin down
-	// the detector's asymptotic scaling (additive; absent in older
-	// baselines, so CompareBench skips rows the baseline lacks).
-	PerfAsym []PerfRow `json:"perfAsym,omitempty"`
-	// Service is the in-process service leg (additive since the
-	// schema's introduction; absent in older baselines).
-	Service *ServiceRow `json:"service,omitempty"`
-	// Jobs is the duplicate-rich async-job heavy-traffic leg
-	// (additive; absent in older baselines).
-	Jobs *JobsRow `json:"jobs,omitempty"`
 }
 
 // benchCorpus names one Tables 1–3 corpus for the quality suite. The
@@ -148,128 +120,8 @@ func BenchQuality(trials int, seed int64) []QualityRow {
 	return rows
 }
 
-// BenchPerf times whole detections on the canonical 3-periodic
-// synthetic series at N=500/1000/2000. NsPerOp/AllocsPerOp come from
-// an untraced loop (the production path); StageNs comes from separate
-// traced runs so the breakdown never contaminates the headline
-// number.
-func BenchPerf(quick bool, seed int64) []PerfRow {
-	iters := 10
-	if quick {
-		iters = 3
-	}
-	var rows []PerfRow
-	for _, n := range []int{500, 1000, 2000} {
-		cfg := synthetic.PaperConfig(n, synthetic.Sine, []int{20, 50, 100}, 0.1, 0.01, seed)
-		x := synthetic.Generate(cfg)
-		rows = append(rows, measureDetect(fmt.Sprintf("detect/N=%d", n), x, iters))
-	}
-	return rows
-}
-
-// BenchPerfAsym times whole detections on the same canonical series
-// at N=8192 and N=16384, where one run costs seconds to tens of
-// seconds. At that scale a warm-up plus an iteration loop would turn
-// the bench into minutes, so each leg is a single traced run: the
-// wall time doubles as the headline number and the trace supplies the
-// stage breakdown in the same pass. Baseline and current measure
-// identically, so the regression ratio stays meaningful. The legs run
-// in quick mode too: the committed baseline is quick-generated and
-// the gate skips rows the baseline lacks.
-func BenchPerfAsym(seed int64) []PerfRow {
-	var rows []PerfRow
-	for _, n := range []int{8192, 16384} {
-		cfg := synthetic.PaperConfig(n, synthetic.Sine, []int{20, 50, 100}, 0.1, 0.01, seed)
-		x := synthetic.Generate(cfg)
-		rows = append(rows, measureDetectOnce(fmt.Sprintf("detect/N=%d", n), x))
-	}
-	return rows
-}
-
-// measureDetectOnce times a single traced detection, reading wall
-// time, allocations, and the per-stage breakdown from the same run.
-func measureDetectOnce(name string, x []float64) PerfRow {
-	opts := core.Options{Trace: trace.New()}
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	start := time.Now()
-	res, err := core.Detect(x, opts)
-	wall := time.Since(start)
-	runtime.ReadMemStats(&after)
-	if err != nil {
-		return PerfRow{Name: name, N: len(x), Iters: 0}
-	}
-	row := PerfRow{
-		Name:        name,
-		N:           len(x),
-		Iters:       1,
-		NsPerOp:     wall.Nanoseconds(),
-		AllocsPerOp: int64(after.Mallocs - before.Mallocs),
-		BytesPerOp:  int64(after.TotalAlloc - before.TotalAlloc),
-		StageNs:     map[string]int64{},
-	}
-	if res != nil && res.Trace != nil {
-		for _, st := range res.Trace.Stages {
-			row.StageNs[st.Name] += st.Duration.Nanoseconds()
-		}
-	}
-	return row
-}
-
-// measureDetect runs one warm-up detection, then an untraced timing
-// loop for wall time and allocation rates, then traced runs for the
-// per-stage breakdown.
-func measureDetect(name string, x []float64, iters int) PerfRow {
-	opts := core.Options{}
-	if _, err := core.Detect(x, opts); err != nil { // warm-up
-		return PerfRow{Name: name, N: len(x), Iters: 0}
-	}
-
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	start := time.Now()
-	for i := 0; i < iters; i++ {
-		core.Detect(x, opts) //nolint:errcheck // warm-up proved it succeeds
-	}
-	wall := time.Since(start)
-	runtime.ReadMemStats(&after)
-
-	row := PerfRow{
-		Name:        name,
-		N:           len(x),
-		Iters:       iters,
-		NsPerOp:     wall.Nanoseconds() / int64(iters),
-		AllocsPerOp: int64(after.Mallocs-before.Mallocs) / int64(iters),
-		BytesPerOp:  int64(after.TotalAlloc-before.TotalAlloc) / int64(iters),
-		StageNs:     map[string]int64{},
-	}
-
-	// Per-stage breakdown: fewer repetitions are enough since each
-	// trace already averages the stage over every call inside one run.
-	traceReps := max(1, iters/3)
-	for i := 0; i < traceReps; i++ {
-		tr := trace.New()
-		topts := opts
-		topts.Trace = tr
-		res, err := core.Detect(x, topts)
-		if err != nil || res == nil || res.Trace == nil {
-			continue
-		}
-		for _, st := range res.Trace.Stages {
-			row.StageNs[st.Name] += st.Duration.Nanoseconds()
-		}
-	}
-	for k := range row.StageNs {
-		row.StageNs[k] /= int64(traceReps)
-	}
-	return row
-}
-
-// RunBench produces the full report. Generated is stamped and the
-// Service leg attached by the caller (cmd/rpbench) so this package
-// stays clock-free, serve-free and testable.
+// RunBench produces the full report. Generated is stamped by the
+// caller (cmd/rpbench) so this package stays clock-free and testable.
 func RunBench(quick bool, trials int, seed int64) BenchReport {
 	return BenchReport{
 		Schema:    BenchSchema,
@@ -280,8 +132,6 @@ func RunBench(quick bool, trials int, seed int64) BenchReport {
 		Trials:    trials,
 		Seed:      seed,
 		Quality:   BenchQuality(trials, seed),
-		Perf:      BenchPerf(quick, seed),
-		PerfAsym:  BenchPerfAsym(seed),
 	}
 }
 
@@ -290,12 +140,9 @@ func RunBench(quick bool, trials int, seed int64) BenchReport {
 const qualityEps = 1e-9
 
 // CompareBench gates current against baseline: any quality-score drop
-// on the Tables 1–3 corpora is a violation, and any whole-detection
-// wall-time regression beyond maxRegress (e.g. 0.20 for +20%) is a
-// violation. A negative maxRegress disables the perf gate (useful
-// when baseline and current ran on different hardware). Returns a
-// human-readable violation list, empty when the gate passes.
-func CompareBench(baseline, current BenchReport, maxRegress float64) []string {
+// on the Tables 1–3 corpora is a violation. Returns a human-readable
+// violation list, empty when the gate passes.
+func CompareBench(baseline, current BenchReport) []string {
 	var violations []string
 	if baseline.Schema != BenchSchema {
 		return []string{fmt.Sprintf("baseline schema %q is not %q — regenerate the baseline", baseline.Schema, BenchSchema)}
@@ -331,73 +178,5 @@ func CompareBench(baseline, current BenchReport, maxRegress float64) []string {
 				"%s: %s dropped %.4f -> %.4f", k, b.Metric, b.Score, c.Score))
 		}
 	}
-
-	violations = append(violations, compareService(current.Service)...)
-	violations = append(violations, compareJobs(current.Jobs)...)
-
-	if maxRegress >= 0 {
-		basePerf := make(map[string]PerfRow, len(baseline.Perf)+len(baseline.PerfAsym))
-		for _, p := range baseline.Perf {
-			basePerf[p.Name] = p
-		}
-		for _, p := range baseline.PerfAsym {
-			basePerf[p.Name] = p
-		}
-		for _, c := range append(append([]PerfRow(nil), current.Perf...), current.PerfAsym...) {
-			b, ok := basePerf[c.Name]
-			if !ok || b.NsPerOp <= 0 {
-				continue
-			}
-			limit := float64(b.NsPerOp) * (1 + maxRegress)
-			if float64(c.NsPerOp) > limit {
-				violations = append(violations, fmt.Sprintf(
-					"%s: wall time regressed %.2fms -> %.2fms (>%.0f%% over baseline)",
-					c.Name, float64(b.NsPerOp)/1e6, float64(c.NsPerOp)/1e6, maxRegress*100))
-			}
-		}
-	}
 	return violations
-}
-
-// FormatStageDiff renders a GitHub-flavoured markdown table comparing
-// the current report's per-stage wall times against a baseline, one
-// block per perf leg (short legs first, then the asymptotic ones).
-// Informational only — the regression gate is CompareBench; this
-// feeds the perf-guard job summary so a reviewer can see where time
-// went without downloading artifacts. Legs or stages the baseline
-// lacks render with an em dash in the baseline column.
-func FormatStageDiff(baseline, current BenchReport) string {
-	basePerf := make(map[string]PerfRow, len(baseline.Perf)+len(baseline.PerfAsym))
-	for _, p := range append(append([]PerfRow(nil), baseline.Perf...), baseline.PerfAsym...) {
-		basePerf[p.Name] = p
-	}
-
-	var b strings.Builder
-	b.WriteString("| Leg | Stage | Baseline (ms) | Current (ms) | Speedup |\n")
-	b.WriteString("|---|---|---:|---:|---:|\n")
-	ms := func(ns int64) string { return fmt.Sprintf("%.2f", float64(ns)/1e6) }
-	row := func(leg, stage string, baseNs int64, haveBase bool, curNs int64) {
-		baseCol, speedCol := "—", "—"
-		if haveBase && baseNs > 0 {
-			baseCol = ms(baseNs)
-			if curNs > 0 {
-				speedCol = fmt.Sprintf("%.2fx", float64(baseNs)/float64(curNs))
-			}
-		}
-		fmt.Fprintf(&b, "| %s | %s | %s | %s | %s |\n", leg, stage, baseCol, ms(curNs), speedCol)
-	}
-	for _, c := range append(append([]PerfRow(nil), current.Perf...), current.PerfAsym...) {
-		base, ok := basePerf[c.Name]
-		row(c.Name, "total", base.NsPerOp, ok, c.NsPerOp)
-		stages := make([]string, 0, len(c.StageNs))
-		for s := range c.StageNs {
-			stages = append(stages, s)
-		}
-		sort.Strings(stages)
-		for _, s := range stages {
-			baseNs, haveStage := base.StageNs[s]
-			row(c.Name, s, baseNs, ok && haveStage, c.StageNs[s])
-		}
-	}
-	return b.String()
 }

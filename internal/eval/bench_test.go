@@ -14,29 +14,19 @@ func benchFixture() BenchReport {
 			{Table: 1, Corpus: "sin-mild", Tol: 0, Metric: "precision", Score: 1.0},
 			{Table: 2, Corpus: "multi-mild", Tol: 0.02, Metric: "f1", Score: 0.95},
 		},
-		Perf: []PerfRow{
-			{Name: "detect/N=1000", N: 1000, NsPerOp: 100_000_000},
-		},
 	}
 }
 
 func TestCompareBenchPasses(t *testing.T) {
 	base := benchFixture()
-	if v := CompareBench(base, base, 0.20); len(v) != 0 {
+	if v := CompareBench(base, base); len(v) != 0 {
 		t.Fatalf("identical reports flagged: %v", v)
 	}
-	// Improvements and small speedups are never violations.
+	// Improvements are never violations.
 	cur := benchFixture()
 	cur.Quality[1].Score = 0.99
-	cur.Perf[0].NsPerOp = 90_000_000
-	if v := CompareBench(base, cur, 0.20); len(v) != 0 {
+	if v := CompareBench(base, cur); len(v) != 0 {
 		t.Fatalf("improvement flagged: %v", v)
-	}
-	// A regression inside the allowance passes.
-	cur = benchFixture()
-	cur.Perf[0].NsPerOp = 115_000_000
-	if v := CompareBench(base, cur, 0.20); len(v) != 0 {
-		t.Fatalf("+15%% wall time flagged under a 20%% allowance: %v", v)
 	}
 }
 
@@ -44,53 +34,14 @@ func TestCompareBenchFlagsQualityDrop(t *testing.T) {
 	base := benchFixture()
 	cur := benchFixture()
 	cur.Quality[1].Score = 0.94
-	v := CompareBench(base, cur, 0.20)
+	v := CompareBench(base, cur)
 	if len(v) != 1 || !strings.Contains(v[0], "f1 dropped") {
 		t.Fatalf("F1 drop not flagged: %v", v)
 	}
 	// Any drop counts — there is no quality allowance.
 	cur.Quality[1].Score = base.Quality[1].Score - 1e-6
-	if v := CompareBench(base, cur, 0.20); len(v) != 1 {
+	if v := CompareBench(base, cur); len(v) != 1 {
 		t.Fatalf("tiny F1 drop not flagged: %v", v)
-	}
-}
-
-func TestCompareBenchFlagsServiceTrouble(t *testing.T) {
-	base := benchFixture()
-	cur := benchFixture()
-	// Absent service leg (older runs, library-only runs): no gate.
-	if v := CompareBench(base, cur, 0.20); len(v) != 0 {
-		t.Fatalf("nil service row flagged: %v", v)
-	}
-	cur.Service = &ServiceRow{Requests: 9}
-	if v := CompareBench(base, cur, 0.20); len(v) != 0 {
-		t.Fatalf("clean service row flagged: %v", v)
-	}
-	// Any shed, error or degradation on the idle bench service is a
-	// violation — overload protection must stay inert on clean input.
-	cur.Service = &ServiceRow{Requests: 9, Shed: 1, Errors: 2, Degraded: 3}
-	v := CompareBench(base, cur, 0.20)
-	if len(v) != 3 {
-		t.Fatalf("want 3 service violations, got %v", v)
-	}
-	for _, s := range v {
-		if !strings.Contains(s, "service:") {
-			t.Errorf("violation missing service prefix: %s", s)
-		}
-	}
-}
-
-func TestCompareBenchFlagsPerfRegression(t *testing.T) {
-	base := benchFixture()
-	cur := benchFixture()
-	cur.Perf[0].NsPerOp = 130_000_000
-	v := CompareBench(base, cur, 0.20)
-	if len(v) != 1 || !strings.Contains(v[0], "wall time regressed") {
-		t.Fatalf("+30%% wall time not flagged: %v", v)
-	}
-	// Negative maxRegress disables the perf gate entirely.
-	if v := CompareBench(base, cur, -1); len(v) != 0 {
-		t.Fatalf("perf gate ran while disabled: %v", v)
 	}
 }
 
@@ -100,68 +51,18 @@ func TestCompareBenchRejectsIncomparableRuns(t *testing.T) {
 
 	stale := base
 	stale.Schema = "robustperiod-bench/v0"
-	if v := CompareBench(stale, cur, 0.20); len(v) != 1 || !strings.Contains(v[0], "schema") {
+	if v := CompareBench(stale, cur); len(v) != 1 || !strings.Contains(v[0], "schema") {
 		t.Fatalf("stale schema not rejected: %v", v)
 	}
 
 	cur.Seed = 2
-	if v := CompareBench(base, cur, 0.20); len(v) == 0 || !strings.Contains(v[0], "not comparable") {
+	if v := CompareBench(base, cur); len(v) == 0 || !strings.Contains(v[0], "not comparable") {
 		t.Fatalf("seed mismatch not rejected: %v", v)
 	}
 
 	cur = benchFixture()
 	cur.Quality = cur.Quality[:1]
-	if v := CompareBench(base, cur, 0.20); len(v) != 1 || !strings.Contains(v[0], "missing") {
+	if v := CompareBench(base, cur); len(v) != 1 || !strings.Contains(v[0], "missing") {
 		t.Fatalf("missing quality row not flagged: %v", v)
-	}
-}
-
-// TestBenchPerfSmoke runs the perf measurement on one short series to
-// check the trace-backed stage breakdown is populated and sane.
-func TestBenchPerfSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("perf smoke is seconds-long")
-	}
-	rows := BenchPerf(true, 1)
-	if len(rows) != 3 {
-		t.Fatalf("want 3 perf rows, got %d", len(rows))
-	}
-	for _, r := range rows {
-		if r.NsPerOp <= 0 {
-			t.Errorf("%s: NsPerOp %d", r.Name, r.NsPerOp)
-		}
-		if r.AllocsPerOp <= 0 {
-			t.Errorf("%s: AllocsPerOp %d", r.Name, r.AllocsPerOp)
-		}
-		if len(r.StageNs) == 0 {
-			t.Errorf("%s: no per-stage breakdown", r.Name)
-		}
-		var stageSum int64
-		for _, ns := range r.StageNs {
-			stageSum += ns
-		}
-		if stageSum <= 0 {
-			t.Errorf("%s: stage breakdown sums to %d", r.Name, stageSum)
-		}
-	}
-}
-
-func TestFormatStageDiff(t *testing.T) {
-	base := benchFixture()
-	base.Perf[0].StageNs = map[string]int64{"periodogram": 80_000_000}
-	cur := benchFixture()
-	cur.Perf[0].NsPerOp = 10_000_000
-	cur.Perf[0].StageNs = map[string]int64{"periodogram": 8_000_000}
-	cur.PerfAsym = []PerfRow{{Name: "detect/N=8192", N: 8192, NsPerOp: 500_000_000}}
-
-	out := FormatStageDiff(base, cur)
-	for _, want := range []string{
-		"| detect/N=1000 | total | 100.00 | 10.00 | 10.00x |",
-		"| detect/N=1000 | periodogram | 80.00 | 8.00 | 10.00x |",
-		"| detect/N=8192 | total | — | 500.00 | — |", // leg absent from baseline
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("missing row %q in:\n%s", want, out)
-		}
 	}
 }

@@ -4,9 +4,8 @@
 // smoothing model with per-period seasonal states and a damped trend,
 // with smoothing parameters fitted by Nelder-Mead — the property Table
 // 6 measures (wrong or missing periods degrade forecasts) is preserved
-// by any competent multi-seasonal model. A Fourier-regression
-// forecaster, classic Holt-Winters and a seasonal-naive baseline
-// complete the toolbox.
+// by any competent multi-seasonal model. Mean and seasonal-naive
+// baselines complete the toolbox.
 package forecast
 
 import (

@@ -191,60 +191,6 @@ func TestMultiSeasonalTooShort(t *testing.T) {
 	}
 }
 
-func TestHoltWinters(t *testing.T) {
-	x := seasonalSeries(300, []int{25}, 0.1, 4)
-	fc, err := HoltWinters{Period: 25}.Forecast(x[:250], 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e := RMSE(fc, x[250:]); e > 0.5 {
-		t.Errorf("HW RMSE %v", e)
-	}
-	if _, err := (HoltWinters{Period: 1}).Forecast(x, 5); err == nil {
-		t.Error("period 1 should error")
-	}
-}
-
-func TestFourierRegressionCleanFit(t *testing.T) {
-	periods := []int{12, 60}
-	x := seasonalSeries(600, periods, 0.02, 5)
-	train, test := x[:480], x[480:]
-	fc, err := FourierRegression{Periods: periods}.Forecast(train, len(test))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e := RMSE(fc, test); e > 0.15 {
-		t.Errorf("Fourier RMSE %v", e)
-	}
-}
-
-func TestFourierRegressionErrors(t *testing.T) {
-	if _, err := (FourierRegression{}).Forecast(make([]float64, 4), 2); err == nil {
-		t.Error("short series should error")
-	}
-	// Too many regressors for the sample.
-	fr := FourierRegression{Periods: []int{50, 60, 70}, Harmonics: 10}
-	if _, err := fr.Forecast(seasonalSeries(40, []int{10}, 0, 6), 5); err == nil {
-		t.Error("over-parameterized fit should error")
-	}
-}
-
-func TestSolveCholeskyKnownSystem(t *testing.T) {
-	a := [][]float64{{4, 2}, {2, 3}}
-	b := []float64{10, 8}
-	x, err := solveCholesky(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Solution of [[4,2],[2,3]] x = [10,8] is x = (1.75, 1.5).
-	if math.Abs(x[0]-1.75) > 1e-12 || math.Abs(x[1]-1.5) > 1e-12 {
-		t.Errorf("x = %v", x)
-	}
-	if _, err := solveCholesky([][]float64{{-1}}, []float64{1}); err == nil {
-		t.Error("indefinite matrix should error")
-	}
-}
-
 func BenchmarkMultiSeasonalFit(b *testing.B) {
 	x := seasonalSeries(840, []int{12, 24, 168}, 0.2, 7)
 	b.ReportAllocs()

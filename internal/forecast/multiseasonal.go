@@ -144,21 +144,3 @@ func initialSeasonal(y []float64, m int) []float64 {
 	}
 	return s
 }
-
-// HoltWinters is the classic additive single-seasonality model,
-// provided for comparison; it is MultiSeasonal with one period but the
-// familiar name.
-type HoltWinters struct {
-	Period int
-}
-
-// Name implements Forecaster.
-func (HoltWinters) Name() string { return "holt-winters" }
-
-// Forecast implements Forecaster.
-func (f HoltWinters) Forecast(train []float64, h int) ([]float64, error) {
-	if f.Period < 2 {
-		return nil, fmt.Errorf("forecast: Holt-Winters needs a period >= 2")
-	}
-	return MultiSeasonal{Periods: []int{f.Period}}.Forecast(train, h)
-}

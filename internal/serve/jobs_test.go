@@ -158,12 +158,20 @@ func TestJobsSubmitPollResult(t *testing.T) {
 }
 
 // TestJobsCoalesceHTTP: identical concurrent submissions coalesce onto
-// one execution; a jobs/exec delay holds the flight open so the
-// followers deterministically find it in flight.
+// one execution, in memory and with a WAL; a jobs/exec delay holds the
+// flight open so the followers deterministically find it in flight.
+// awaitJob fails any job not finished within 30 s.
 func TestJobsCoalesceHTTP(t *testing.T) {
 	faults.Enable(faults.MustParse(faults.PointJobsExec + ":delay=400ms"))
 	t.Cleanup(faults.Disable)
-	_, ts := newTestServer(t, Config{})
+	t.Run("memory", func(t *testing.T) { testJobsCoalesce(t, Config{}) })
+	t.Run("durable", func(t *testing.T) {
+		testJobsCoalesce(t, Config{JobsDataDir: t.TempDir(), JobsFsync: "25ms"})
+	})
+}
+
+func testJobsCoalesce(t *testing.T, cfg Config) {
+	_, ts := newTestServer(t, cfg)
 	body := detectBody(t, sineSeries(256, 16, 2), nil, false)
 
 	leader := submitJob(t, ts.URL, body, "dashboards")

@@ -19,6 +19,7 @@ import (
 
 	"robustperiod"
 	"robustperiod/internal/obs"
+	"robustperiod/internal/synthetic"
 )
 
 // sineSeries builds a deterministic noisy sinusoid of the given
@@ -149,29 +150,49 @@ func TestMethodNotAllowed(t *testing.T) {
 	}
 }
 
+// TestDetectMatchesLibrary checks the service against the library on
+// a short sinusoid and on the three-period paper series at N=500,
+// 1000 and 2000. The cache is off, so every request runs a detection;
+// on this clean input none may degrade or be shed.
 func TestDetectMatchesLibrary(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	series := sineSeries(480, 24, 2)
-	want, err := robustperiod.Detect(series, nil)
-	if err != nil {
-		t.Fatal(err)
+	_, ts := newTestServer(t, Config{CacheSize: -1})
+	inputs := [][]float64{sineSeries(480, 24, 2)}
+	for _, n := range []int{500, 1000, 2000} {
+		cfg := synthetic.PaperConfig(n, synthetic.Sine, []int{20, 50, 100}, 0.1, 0.01, 1)
+		inputs = append(inputs, synthetic.Generate(cfg))
 	}
-	resp, body := postJSON(t, ts.URL+"/v1/detect", detectBody(t, series, nil, true))
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	for _, series := range inputs {
+		want, err := robustperiod.Detect(series, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, body := postJSON(t, ts.URL+"/v1/detect", detectBody(t, series, nil, true))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("n=%d: status %d: %s", len(series), resp.StatusCode, body)
+		}
+		var got DetectResponse
+		if err := json.Unmarshal(body, &got); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Periods, want) {
+			t.Errorf("n=%d: periods = %v, direct Detect = %v", len(series), got.Periods, want)
+		}
+		if got.Cached {
+			t.Errorf("n=%d: reported cached with the cache off", len(series))
+		}
+		if len(got.Levels) == 0 {
+			t.Errorf("n=%d: details requested but no levels returned", len(series))
+		}
+		if len(got.Degraded) > 0 {
+			t.Errorf("n=%d: clean input degraded: %+v", len(series), got.Degraded)
+		}
 	}
-	var got DetectResponse
-	if err := json.Unmarshal(body, &got); err != nil {
-		t.Fatal(err)
+	m := metricsSnapshot(t, ts.URL)
+	if n := promValue(t, m, "rp_degraded_total"); n != 0 {
+		t.Errorf("rp_degraded_total = %v, want 0", n)
 	}
-	if !reflect.DeepEqual(got.Periods, want) {
-		t.Errorf("periods = %v, direct Detect = %v", got.Periods, want)
-	}
-	if got.Cached {
-		t.Error("first request reported cached")
-	}
-	if len(got.Levels) == 0 {
-		t.Error("details requested but no levels returned")
+	if n := promValue(t, m, "rp_requests_shed_total", "endpoint", "detect"); n != 0 {
+		t.Errorf("rp_requests_shed_total{endpoint=detect} = %v, want 0", n)
 	}
 }
 
