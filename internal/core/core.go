@@ -610,7 +610,11 @@ func DetectContext(ctx context.Context, y []float64, opts Options) (res *Result,
 		return nil, err
 	}
 	sv := tr.StartStage(trace.StageValidation)
-	acfFull := fft.Autocorrelation(x)
+	// Only the per-level hits read the full-series ACF.
+	var acfFull []float64
+	if len(hits) > 0 {
+		acfFull = fft.Autocorrelation(x)
+	}
 
 	// Refinement against the full-series ACF is only trustworthy when
 	// the period is long relative to the series: with ten or more

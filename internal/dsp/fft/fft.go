@@ -1,8 +1,16 @@
 // Package fft implements the fast Fourier transform substrate that
 // RobustPeriod's spectral machinery is built on: an iterative radix-2
 // Cooley-Tukey transform for power-of-two sizes, Bluestein's chirp-z
-// algorithm for arbitrary sizes, and real-input helpers (periodogram,
-// autocorrelation). Only the standard library is used.
+// algorithm for other sizes, and real-input helpers (half spectrum,
+// periodogram, autocorrelation). Only the standard library is used.
+//
+// Everything a transform of one length can reuse lives in a cached
+// plan for that length: the twiddle table and bit-reversal permutation
+// of a power of two, the chirp and filter spectrum of a Bluestein
+// length, and the unpack twiddles of a real transform of twice the
+// length. A real series of even length is transformed as a complex
+// series of half its length. Inverse transforms conjugate around the
+// forward ones, so no plan holds a second table.
 //
 // Conventions: FFT computes X[k] = Σ_t x[t]·exp(-2πi·kt/N) (no
 // normalization); IFFT divides by N so IFFT(FFT(x)) == x.
@@ -37,191 +45,269 @@ func IFFT(x []complex128) []complex128 {
 
 // Transform performs an in-place forward DFT of x.
 func Transform(x []complex128) {
-	n := len(x)
-	if n <= 1 {
+	if len(x) <= 1 {
 		return
 	}
-	if n&(n-1) == 0 {
-		radix2(x, false)
-		return
-	}
-	bluestein(x, false)
+	planFor(len(x)).transform(x)
 }
 
 // InverseTransform performs an in-place inverse DFT of x (with 1/N
-// normalization).
+// normalization), as the conjugate of the forward transform of the
+// conjugate.
 func InverseTransform(x []complex128) {
 	n := len(x)
 	if n <= 1 {
 		return
 	}
-	if n&(n-1) == 0 {
-		radix2(x, true)
-	} else {
-		bluestein(x, true)
+	for i, v := range x {
+		x[i] = cmplx.Conj(v)
 	}
+	planFor(n).transform(x)
 	inv := 1 / float64(n)
-	for i := range x {
-		x[i] *= complex(inv, 0)
+	for i, v := range x {
+		x[i] = complex(real(v)*inv, -imag(v)*inv)
 	}
 }
 
-// radix2 runs an iterative in-place Cooley-Tukey transform; len(x)
-// must be a power of two. If inverse is true the conjugate twiddles
-// are used (no normalization here).
-func radix2(x []complex128, inverse bool) {
-	n := len(x)
-	shift := 64 - uint(bits.TrailingZeros(uint(n)))
-	// Bit-reversal permutation.
-	for i := 0; i < n; i++ {
-		j := int(bits.Reverse64(uint64(i)) >> shift)
-		if j > i {
-			x[i], x[j] = x[j], x[i]
-		}
-	}
-	sign := -1.0
-	if inverse {
-		sign = 1.0
-	}
-	for size := 2; size <= n; size <<= 1 {
-		half := size >> 1
-		step := sign * 2 * math.Pi / float64(size)
-		// Precompute the twiddle increment with a stable recurrence.
-		wStep := cmplx.Exp(complex(0, step))
-		for start := 0; start < n; start += size {
-			w := complex(1, 0)
-			for k := 0; k < half; k++ {
-				a := x[start+k]
-				b := x[start+k+half] * w
-				x[start+k] = a + b
-				x[start+k+half] = a - b
-				w *= wStep
-			}
-		}
-	}
+// plan holds what every transform of one length n can reuse. Building
+// one costs O(n) complex exponentials, plus one radix-2 transform for
+// a Bluestein length, so plans are cached by length: the detect
+// pipeline transforms the same padded length dozens of times per
+// request.
+type plan struct {
+	// Power-of-two n: forward twiddles exp(−2πik/n) for k < n/2, and
+	// the bit-reversal permutation.
+	twiddle []complex128
+	rev     []int32
+
+	// Other n: Bluestein's chirp exp(−iπt²/n) for t < n, the forward
+	// transform of its filter scaled by 1/m (m = len(bhat), a power of
+	// two ≥ 2n−1), the radix-2 plan of length m, and pooled m-long
+	// work buffers, so a warm Bluestein call allocates nothing.
+	chirp []complex128
+	bhat  []complex128
+	inner *plan
+	work  sync.Pool // *[]complex128 of length m
+
+	// Real transforms of length 2n: exp(−iπk/n) for k ≤ n/2, the
+	// twiddles that unpack the half-length transform.
+	unpack []complex128
 }
 
-// chirpPlan holds the input-independent half of a Bluestein transform
-// of one (length, direction) pair: the chirp itself and the forward
-// transform of the chirp filter. Building it costs n complex
-// exponentials plus one radix-2 transform — the majority of a
-// Bluestein call — so plans are cached: the detect pipeline transforms
-// the same non-power-of-two padded length dozens of times per request.
-// The plan also pools the m-long work buffers of its transforms, so a
-// warm Bluestein call allocates nothing.
-type chirpPlan struct {
-	chirp []complex128 // exp(sign·iπt²/n), t < n
-	bhat  []complex128 // FFT of the chirp filter, length m
-	work  sync.Pool    // *[]complex128 of length m
+// maxOtherPlans bounds the cached plans whose length is not a power of
+// two: a service sees many distinct series lengths, and each such plan
+// holds about 5n complex values. Power-of-two plans are one per octave
+// and always kept.
+const maxOtherPlans = 16
+
+var plans struct {
+	mu     sync.Mutex
+	byLen  map[int]*plan
+	others int // cached lengths that are not powers of two
 }
 
-type chirpKey struct {
-	n       int
-	inverse bool
-}
+func isPow2(n int) bool { return n&(n-1) == 0 }
 
-var chirpCache struct {
-	mu    sync.Mutex
-	plans map[chirpKey]*chirpPlan
-}
-
-// chirpCacheCap bounds the cache; one entry per distinct transform
-// length and direction, a handful per process in practice.
-const chirpCacheCap = 16
-
-func getChirpPlan(n, m int, inverse bool) *chirpPlan {
-	key := chirpKey{n, inverse}
-	chirpCache.mu.Lock()
-	if p, ok := chirpCache.plans[key]; ok {
-		chirpCache.mu.Unlock()
+// planFor returns the cached plan for length n ≥ 1, building it on a
+// miss. Building happens outside the lock; when two goroutines race to
+// build one length, both share the first plan stored.
+func planFor(n int) *plan {
+	plans.mu.Lock()
+	p, ok := plans.byLen[n]
+	plans.mu.Unlock()
+	if ok {
 		return p
 	}
-	chirpCache.mu.Unlock()
+	p = newPlan(n)
 
-	sign := -1.0
-	if inverse {
-		sign = 1.0
+	plans.mu.Lock()
+	defer plans.mu.Unlock()
+	if q, ok := plans.byLen[n]; ok {
+		return q
 	}
-	// chirp[t] = exp(sign * i*pi*t^2/n). Reduce t^2 mod 2n to keep the
-	// angle small and accurate for large n.
-	p := &chirpPlan{
-		chirp: make([]complex128, n),
-		bhat:  make([]complex128, m),
+	if plans.byLen == nil {
+		plans.byLen = make(map[int]*plan)
 	}
+	if !isPow2(n) {
+		if plans.others >= maxOtherPlans {
+			for k := range plans.byLen {
+				if !isPow2(k) {
+					delete(plans.byLen, k)
+					plans.others--
+					break
+				}
+			}
+		}
+		plans.others++
+	}
+	plans.byLen[n] = p
+	return p
+}
+
+func newPlan(n int) *plan {
+	p := &plan{unpack: make([]complex128, n/2+1)}
+	for k := range p.unpack {
+		s, c := math.Sincos(-math.Pi * float64(k) / float64(n))
+		p.unpack[k] = complex(c, s)
+	}
+	if isPow2(n) {
+		p.twiddle = make([]complex128, n/2)
+		for k := range p.twiddle {
+			s, c := math.Sincos(-2 * math.Pi * float64(k) / float64(n))
+			p.twiddle[k] = complex(c, s)
+		}
+		p.rev = make([]int32, n)
+		shift := 64 - uint(bits.TrailingZeros(uint(n)))
+		for i := range p.rev {
+			p.rev[i] = int32(bits.Reverse64(uint64(i)) >> shift)
+		}
+		return p
+	}
+
+	m := 1
+	for m < 2*n-1 {
+		m <<= 1
+	}
+	p.inner = planFor(m)
 	p.work.New = func() any {
 		buf := make([]complex128, m)
 		return &buf
 	}
-	for t := 0; t < n; t++ {
+	// chirp[t] = exp(−iπt²/n). Reduce t² mod 2n to keep the angle
+	// small and accurate for large n.
+	p.chirp = make([]complex128, n)
+	for t := range p.chirp {
 		sq := (int64(t) * int64(t)) % int64(2*n)
-		ang := sign * math.Pi * float64(sq) / float64(n)
-		p.chirp[t] = cmplx.Exp(complex(0, ang))
+		s, c := math.Sincos(-math.Pi * float64(sq) / float64(n))
+		p.chirp[t] = complex(c, s)
 	}
+	p.bhat = make([]complex128, m)
 	for t := 0; t < n; t++ {
 		p.bhat[t] = cmplx.Conj(p.chirp[t])
 	}
 	for t := 1; t < n; t++ {
 		p.bhat[m-t] = cmplx.Conj(p.chirp[t])
 	}
-	radix2(p.bhat, false)
-
-	chirpCache.mu.Lock()
-	defer chirpCache.mu.Unlock()
-	if q, ok := chirpCache.plans[key]; ok {
-		return q // lost a build race; share the first
+	p.inner.radix2(p.bhat)
+	scale := 1 / float64(m)
+	for i, v := range p.bhat {
+		p.bhat[i] = complex(real(v)*scale, imag(v)*scale)
 	}
-	if chirpCache.plans == nil {
-		chirpCache.plans = make(map[chirpKey]*chirpPlan, chirpCacheCap)
-	}
-	if len(chirpCache.plans) >= chirpCacheCap {
-		for k := range chirpCache.plans {
-			delete(chirpCache.plans, k)
-			break
-		}
-	}
-	chirpCache.plans[key] = p
 	return p
 }
 
-// bluestein computes an arbitrary-length DFT as a convolution with a
-// chirp, using two power-of-two radix-2 transforms internally (the
-// third — the chirp filter's — comes precomputed from the plan cache).
-func bluestein(x []complex128, inverse bool) {
-	n := len(x)
-	m := 1
-	for m < 2*n-1 {
-		m <<= 1
+// transform runs the forward DFT of x in place; len(x) is the plan's
+// length.
+func (p *plan) transform(x []complex128) {
+	if p.rev != nil {
+		p.radix2(x)
+		return
 	}
-	p := getChirpPlan(n, m, inverse)
+	p.bluestein(x)
+}
+
+// radix2 runs an iterative in-place Cooley-Tukey transform over the
+// plan's power-of-two length, reading every twiddle from the table.
+func (p *plan) radix2(x []complex128) {
+	n := len(x)
+	for i, j := range p.rev {
+		if int(j) > i {
+			x[i], x[j] = x[j], x[i]
+		}
+	}
+	if n == 2 {
+		x[0], x[1] = x[0]+x[1], x[0]-x[1]
+		return
+	}
+	// The first two stages in one pass: their twiddles are 1 and −i,
+	// so they need no multiplication.
+	for i := 0; i+3 < n; i += 4 {
+		a0, a1 := x[i]+x[i+1], x[i]-x[i+1]
+		a2, a3 := x[i+2]+x[i+3], x[i+2]-x[i+3]
+		b3 := complex(imag(a3), -real(a3)) // −i·a3
+		x[i], x[i+2] = a0+a2, a0-a2
+		x[i+1], x[i+3] = a1+b3, a1-b3
+	}
+	tw := p.twiddle
+	for size := 8; size <= n; size <<= 1 {
+		half := size >> 1
+		stride := n / size
+		for start := 0; start < n; start += size {
+			lo := x[start : start+half]
+			hi := x[start+half : start+size]
+			hi = hi[:len(lo)]
+			for k, j := 0, 0; k < len(lo); k, j = k+1, j+stride {
+				a := lo[k]
+				b := hi[k] * tw[j]
+				lo[k] = a + b
+				hi[k] = a - b
+			}
+		}
+	}
+}
+
+// bluestein computes an arbitrary-length DFT as a convolution with the
+// plan's chirp: one forward radix-2 transform of the chirped input, a
+// product with the filter spectrum, and one inverse radix-2 transform
+// taken as the conjugate of a forward one.
+func (p *plan) bluestein(x []complex128) {
 	buf := p.work.Get().(*[]complex128)
 	a := *buf
-	for t := 0; t < n; t++ {
-		a[t] = x[t] * p.chirp[t]
+	for t, c := range p.chirp {
+		a[t] = x[t] * c
 	}
-	clear(a[n:])
-	radix2(a, false)
-	for i := range a {
-		a[i] *= p.bhat[i]
+	clear(a[len(x):])
+	p.inner.radix2(a)
+	for i, b := range p.bhat {
+		a[i] = cmplx.Conj(a[i] * b)
 	}
-	radix2(a, true)
-	scale := complex(1/float64(m), 0)
-	for t := 0; t < n; t++ {
-		x[t] = a[t] * scale * p.chirp[t]
+	p.inner.radix2(a)
+	for t, c := range p.chirp {
+		x[t] = cmplx.Conj(a[t]) * c
 	}
 	p.work.Put(buf)
 }
 
+// HalfSpectrum returns X[k] for k = 0..⌊N/2⌋, the half of a real
+// series' DFT that determines the rest (X[N−k] = conj X[k]). Even
+// lengths run one complex transform of length N/2; odd lengths run
+// the complex transform of the whole series. An empty input yields
+// nil.
+func HalfSpectrum(x []float64) []complex128 {
+	n := len(x)
+	if n == 0 {
+		return nil
+	}
+	if n%2 == 1 {
+		return complexTransform(x)[:n/2+1]
+	}
+	out := make([]complex128, n/2+1)
+	halfSpectrum(x, out)
+	return out
+}
+
 // FFTReal returns the DFT of a real-valued series as a full-length
-// complex spectrum. Even power-of-two lengths use the half-size
-// complex-FFT trick (packing even samples into the real part and odd
-// samples into the imaginary part), which roughly halves the work;
-// other lengths fall back to a complex transform.
+// complex spectrum. Even lengths compute the half spectrum with one
+// complex transform of half the length and fill the rest by conjugate
+// symmetry; odd lengths run the complex transform.
 func FFTReal(x []float64) []complex128 {
 	n := len(x)
-	if n >= 4 && n%2 == 0 && (n/2)&(n/2-1) == 0 {
-		return fftRealEven(x)
+	if n%2 == 1 {
+		return complexTransform(x)
 	}
-	c := make([]complex128, n)
+	out := make([]complex128, n)
+	if n == 0 {
+		return out
+	}
+	halfSpectrum(x, out[:n/2+1])
+	for k := 1; k < n/2; k++ {
+		out[n-k] = cmplx.Conj(out[k])
+	}
+	return out
+}
+
+func complexTransform(x []float64) []complex128 {
+	c := make([]complex128, len(x))
 	for i, v := range x {
 		c[i] = complex(v, 0)
 	}
@@ -229,83 +315,54 @@ func FFTReal(x []float64) []complex128 {
 	return c
 }
 
-// fftRealEven computes the DFT of a real series of even length n with
-// one complex FFT of length n/2: z[t] = x[2t] + i·x[2t+1], then the
-// even/odd sub-spectra are unpacked from z's conjugate symmetry and
-// recombined with twiddles.
-func fftRealEven(x []float64) []complex128 {
-	n := len(x)
-	h := n / 2
-	z := make([]complex128, h)
-	for t := 0; t < h; t++ {
-		z[t] = complex(x[2*t], x[2*t+1])
+// halfSpectrum writes X[k], k = 0..h, of the real series x of even
+// length n = 2h ≥ 2 into out (length h+1). It packs
+// z[t] = x[2t] + i·x[2t+1] into out[:h], transforms it, and unpacks
+// the pairs (k, h−k) in place: with E and O the spectra of the even
+// and odd samples, E[k] = (Z[k] + conj Z[h−k])/2,
+// O[k] = (Z[k] − conj Z[h−k])/2i, X[k] = E[k] + W^k·O[k] and
+// X[h−k] = conj(E[k] − W^k·O[k]), where W = exp(−2πi/n).
+func halfSpectrum(x []float64, out []complex128) {
+	h := len(x) / 2
+	for t := range out[:h] {
+		out[t] = complex(x[2*t], x[2*t+1])
 	}
-	radix2(z, false)
-	out := make([]complex128, n)
-	for k := 0; k <= h/2; k++ {
-		var zk, zmk complex128
-		zk = z[k%h]
-		if k == 0 {
-			zmk = z[0]
-		} else {
-			zmk = z[h-k]
-		}
-		// Even/odd sub-spectra from the packed transform.
-		e := complex(0.5, 0) * (zk + cmplx.Conj(zmk))
-		o := complex(0, -0.5) * (zk - cmplx.Conj(zmk))
-		s, c := math.Sincos(-2 * math.Pi * float64(k) / float64(n))
-		tw := complex(c, s)
-		out[k] = e + tw*o
-		if k > 0 && k < h {
-			// Conjugate symmetry of a real input fills the top half;
-			// the lower half below h is completed via X[h−k] relation.
-			out[n-k] = cmplx.Conj(out[k])
+	if h > 1 {
+		p := planFor(h)
+		p.transform(out[:h])
+		for k := 1; k <= h/2; k++ {
+			a, b := out[k], out[h-k]
+			ere, eim := 0.5*(real(a)+real(b)), 0.5*(imag(a)-imag(b))
+			ore, oim := 0.5*(imag(a)+imag(b)), 0.5*(real(b)-real(a))
+			w := p.unpack[k]
+			tre := real(w)*ore - imag(w)*oim
+			tim := real(w)*oim + imag(w)*ore
+			out[k] = complex(ere+tre, eim+tim)
+			out[h-k] = complex(ere-tre, tim-eim)
 		}
 	}
-	// X[k] for h/2 < k < h follows from the same unpacking evaluated
-	// directly (equivalently conjugate relations on the packed FFT).
-	for k := h/2 + 1; k < h; k++ {
-		zk := z[k]
-		zmk := z[h-k]
-		e := complex(0.5, 0) * (zk + cmplx.Conj(zmk))
-		o := complex(0, -0.5) * (zk - cmplx.Conj(zmk))
-		s, c := math.Sincos(-2 * math.Pi * float64(k) / float64(n))
-		tw := complex(c, s)
-		out[k] = e + tw*o
-		out[n-k] = cmplx.Conj(out[k])
-	}
-	// Nyquist bin: X[h] = E[0] − O[0] with twiddle e^{−iπ} = −1.
-	e0 := complex(0.5, 0) * (z[0] + cmplx.Conj(z[0]))
-	o0 := complex(0, -0.5) * (z[0] - cmplx.Conj(z[0]))
-	out[h] = e0 - o0
-	return out
-}
-
-// IFFTReal inverts a spectrum that is known to come from a real series
-// and returns only the real parts. The caller guarantees conjugate
-// symmetry; imaginary residue is discarded.
-func IFFTReal(spec []complex128) []float64 {
-	c := IFFT(spec)
-	out := make([]float64, len(c))
-	for i, v := range c {
-		out[i] = real(v)
-	}
-	return out
+	z0 := out[0]
+	out[0] = complex(real(z0)+imag(z0), 0)
+	out[h] = complex(real(z0)-imag(z0), 0)
 }
 
 // Periodogram returns P[k] = |X[k]|² / N for k = 0..N-1, the classical
 // (full-range) DFT periodogram of a real series (Eq. 5 of the paper).
+// It computes the half spectrum and mirrors it: P[N−k] = P[k].
 func Periodogram(x []float64) []float64 {
 	n := len(x)
 	if n == 0 {
 		return nil
 	}
-	spec := FFTReal(x)
+	spec := HalfSpectrum(x)
 	p := make([]float64, n)
 	inv := 1 / float64(n)
 	for k, v := range spec {
 		re, im := real(v), imag(v)
 		p[k] = (re*re + im*im) * inv
+	}
+	for k := len(spec); k < n; k++ {
+		p[k] = p[n-k]
 	}
 	return p
 }
@@ -314,6 +371,9 @@ func Periodogram(x []float64) []float64 {
 // r[t] = Σ_{n} x̄[n]·x̄[n+t] / Σ x̄[n]² for lags 0..len(x)-1, computed
 // in O(N log N) via zero-padded FFTs (x̄ is the mean-centred series).
 // This is the classical fast ACF used by the non-robust baselines.
+// Both transforms are real: the power spectrum is real and even, so
+// its forward transform is m times its inverse, and the factor m
+// cancels in the ratio to lag 0.
 func Autocorrelation(x []float64) []float64 {
 	n := len(x)
 	if n == 0 {
@@ -328,24 +388,28 @@ func Autocorrelation(x []float64) []float64 {
 	for m < 2*n {
 		m <<= 1
 	}
-	buf := make([]complex128, m)
+	buf := make([]float64, m)
 	for i, v := range x {
-		buf[i] = complex(v-mean, 0)
+		buf[i] = v - mean
 	}
-	Transform(buf)
-	for i, v := range buf {
+	spec := make([]complex128, m/2+1)
+	halfSpectrum(buf, spec)
+	for k, v := range spec {
 		re, im := real(v), imag(v)
-		buf[i] = complex(re*re+im*im, 0)
+		buf[k] = re*re + im*im
 	}
-	InverseTransform(buf)
+	for k := len(spec); k < m; k++ {
+		buf[k] = buf[m-k]
+	}
+	halfSpectrum(buf, spec)
 	out := make([]float64, n)
-	r0 := real(buf[0])
+	r0 := real(spec[0])
 	if r0 == 0 {
 		out[0] = 1
 		return out
 	}
-	for t := 0; t < n; t++ {
-		out[t] = real(buf[t]) / r0
+	for t := range out {
+		out[t] = real(spec[t]) / r0
 	}
 	return out
 }

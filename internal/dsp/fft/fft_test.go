@@ -146,9 +146,12 @@ func TestFFTRealKnownSinusoid(t *testing.T) {
 
 func TestFFTRealMatchesComplexPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
-	// Cover the optimized even-power-of-two path against the plain
-	// complex transform, plus odd/non-pow2 fallbacks.
-	for _, n := range []int{4, 8, 16, 64, 128, 256, 1024, 6, 10, 100, 97} {
+	// Cover the half-length path at power-of-two and Bluestein halves
+	// against the plain complex transform and the naive DFT, plus the
+	// odd-length complex path. The last five are padded lengths of
+	// service-sized series: 2·168, 2·1000, 2·1008, 2·1009 (a prime
+	// half, so Bluestein runs inside) and 2·1024.
+	for _, n := range []int{2, 4, 8, 16, 64, 128, 256, 1024, 6, 10, 100, 97, 336, 2000, 2016, 2018, 2048} {
 		x := make([]float64, n)
 		for i := range x {
 			x[i] = rng.NormFloat64()
@@ -158,10 +161,14 @@ func TestFFTRealMatchesComplexPath(t *testing.T) {
 		for i, v := range x {
 			c[i] = complex(v, 0)
 		}
+		want := naiveDFT(c, false)
 		Transform(c)
 		for k := range c {
 			if cmplx.Abs(got[k]-c[k]) > 1e-9*float64(n) {
 				t.Fatalf("n=%d k=%d: %v vs %v", n, k, got[k], c[k])
+			}
+			if cmplx.Abs(got[k]-want[k]) > 1e-9*float64(n) {
+				t.Fatalf("n=%d k=%d: %v vs naive %v", n, k, got[k], want[k])
 			}
 		}
 	}
@@ -345,6 +352,71 @@ func TestBluesteinWarmTransformAllocatesNothing(t *testing.T) {
 	transform()
 	if allocs := testing.AllocsPerRun(200, transform); allocs != 0 {
 		t.Fatalf("warm Bluestein Transform allocated %.0f objects per run, want 0", allocs)
+	}
+}
+
+// TestPlanCacheBoundedConcurrent transforms 100 distinct
+// non-power-of-two lengths from 8 goroutines at once, so plans are
+// built, shared and evicted concurrently: the cache never holds more
+// than maxOtherPlans of them, and every output equals its sequential
+// value bit for bit, whichever plan build produced it.
+func TestPlanCacheBoundedConcurrent(t *testing.T) {
+	const lengths = 100
+	inputs := make([][]complex128, lengths)
+	want := make([][]complex128, lengths)
+	for i := range inputs {
+		n := 201 + 2*i // odd, so never a power of two
+		inputs[i] = randComplex(rand.New(rand.NewSource(int64(n))), n)
+		want[i] = FFT(inputs[i])
+	}
+	otherPlans := func() int {
+		plans.mu.Lock()
+		defer plans.mu.Unlock()
+		c := 0
+		for n := range plans.byLen {
+			if !isPow2(n) {
+				c++
+			}
+		}
+		return c
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for j := range inputs {
+				i := (j*7 + g*13) % lengths
+				got := FFT(inputs[i])
+				for k := range got {
+					if got[k] != want[i][k] {
+						t.Errorf("n=%d bin %d = %v, want %v", len(got), k, got[k], want[i][k])
+						return
+					}
+				}
+				if c := otherPlans(); c > maxOtherPlans {
+					t.Errorf("cache holds %d non-power-of-two plans, cap %d", c, maxOtherPlans)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// TestPeriodogramWarmAllocs pins a warm Periodogram to its output plus
+// one half-spectrum scratch, at a Bluestein half (1000) and a
+// power-of-two half (1024).
+func TestPeriodogramWarmAllocs(t *testing.T) {
+	for _, n := range []int{2000, 2048} {
+		x := make([]float64, n)
+		for i := range x[:n/2] {
+			x[i] = math.Sin(float64(i))
+		}
+		Periodogram(x)
+		if allocs := testing.AllocsPerRun(100, func() { Periodogram(x) }); allocs > 2 {
+			t.Errorf("n=%d: warm Periodogram allocated %.0f objects per run, want at most 2", n, allocs)
+		}
 	}
 }
 

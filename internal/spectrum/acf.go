@@ -36,24 +36,22 @@ func FullRange(half []float64) []float64 {
 // Because the series was zero-padded to twice its length, the circular
 // autocovariance p_t equals the linear autocovariance, so the estimate
 // is exact, robust (it inherits the robustness of the periodogram),
-// and costs O(n log n).
+// and costs O(n log n). P is real, so Re IDFT{P}_t = Re DFT{P}_t / len(P):
+// one real forward transform gives p_t up to a factor that cancels in
+// the ratio.
 func ACFFromPeriodogram(full []float64, n int) ([]float64, error) {
 	if len(full) < 2*n {
 		return nil, fmt.Errorf("spectrum: full periodogram length %d < 2n = %d", len(full), 2*n)
 	}
-	spec := make([]complex128, len(full))
-	for i, v := range full {
-		spec[i] = complex(v, 0)
-	}
-	p := fft.IFFTReal(spec)
+	spec := fft.HalfSpectrum(full)
 	acf := make([]float64, n)
-	p0 := p[0]
+	p0 := real(spec[0])
 	if p0 == 0 {
 		acf[0] = 1
 		return acf, nil
 	}
-	for t := 0; t < n; t++ {
-		acf[t] = float64(n) * p[t] / (float64(n-t) * p0)
+	for t := range acf {
+		acf[t] = float64(n) * real(spec[t]) / (float64(n-t) * p0)
 	}
 	return acf, nil
 }

@@ -247,6 +247,26 @@ func TestACFFromPeriodogramMatchesDirect(t *testing.T) {
 	}
 }
 
+// TestACFFromPeriodogramWarmAllocs pins the Wiener–Khinchin ACF to its
+// output plus one half-spectrum scratch, at a Bluestein half (1000)
+// and a power-of-two half (1024).
+func TestACFFromPeriodogramWarmAllocs(t *testing.T) {
+	for _, n := range []int{1000, 1024} {
+		padded := make([]float64, 2*n)
+		copy(padded, addNoise(sinusoid(n, 20, 1), 0.1, 9))
+		full := fft.Periodogram(padded)
+		acf := func() {
+			if _, err := ACFFromPeriodogram(full, n); err != nil {
+				t.Fatal(err)
+			}
+		}
+		acf()
+		if allocs := testing.AllocsPerRun(100, acf); allocs > 2 {
+			t.Errorf("n=%d: warm ACFFromPeriodogram allocated %.0f objects per run, want at most 2", n, allocs)
+		}
+	}
+}
+
 func TestACFFromPeriodogramLengthError(t *testing.T) {
 	if _, err := ACFFromPeriodogram(make([]float64, 10), 10); err == nil {
 		t.Error("short periodogram should error")
