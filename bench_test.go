@@ -6,6 +6,7 @@
 package robustperiod
 
 import (
+	"runtime"
 	"testing"
 
 	"robustperiod/internal/core"
@@ -192,26 +193,24 @@ func benchBoundary(b *testing.B, circularOnly bool) {
 func BenchmarkAblationBoundaryCircularOnly(b *testing.B) { benchBoundary(b, true) }
 func BenchmarkAblationBoundaryWithFallback(b *testing.B) { benchBoundary(b, false) }
 
-// BenchmarkParallelDetect vs sequential: the Options.Parallel path.
+// BenchmarkDetectSequential vs BenchmarkDetectParallel: a detect on
+// its caller alone (GOMAXPROCS=1 leaves no helper slot) against the
+// default, which spreads levels and band chunks over idle cores.
 func BenchmarkDetectSequential(b *testing.B) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	benchDetect(b)
+}
+
+func BenchmarkDetectParallel(b *testing.B) { benchDetect(b) }
+
+func benchDetect(b *testing.B) {
+	b.Helper()
 	cfg := synthetic.PaperConfig(2000, synthetic.Sine, []int{20, 50, 100}, 0.3, 0.02, 12)
 	x := synthetic.Generate(cfg)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := core.Detect(x, core.Options{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkDetectParallel(b *testing.B) {
-	cfg := synthetic.PaperConfig(2000, synthetic.Sine, []int{20, 50, 100}, 0.3, 0.02, 12)
-	x := synthetic.Generate(cfg)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.Detect(x, core.Options{Parallel: true}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -11,7 +11,8 @@ import (
 // never fires; a typo'd metric family either panics at scrape time or
 // drifts from the README's documented surface. The analyzer requires:
 //
-//   - faults.Check(name): name is a constant in the fault-point registry
+//   - faults.Check(name), faults.CheckDone(name, done): name is a
+//     constant in the fault-point registry
 //   - trace.Trace.StartStage/Count/CountBool(stage, ...): stage is a
 //     constant in the trace-stage registry
 //   - obs.PromWriter.Family(name, help, type): all three are constants,
@@ -50,7 +51,7 @@ func runRegistry(p *Pass) {
 				return true
 			}
 			switch {
-			case isPkgFunc(fn, faultsPkg, "Check") && len(call.Args) >= 1:
+			case (isPkgFunc(fn, faultsPkg, "Check") || isPkgFunc(fn, faultsPkg, "CheckDone")) && len(call.Args) >= 1:
 				name, ok := constString(info, call.Args[0])
 				if !ok {
 					p.Reportf(call.Args[0].Pos(), "faults.Check argument must be a registry constant, not a computed value")

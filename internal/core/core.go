@@ -21,6 +21,7 @@ import (
 	"robustperiod/internal/faults"
 	"robustperiod/internal/filter/hp"
 	"robustperiod/internal/obs"
+	"robustperiod/internal/par"
 	"robustperiod/internal/spectrum"
 	"robustperiod/internal/stat/robust"
 	"robustperiod/internal/synthetic"
@@ -130,9 +131,10 @@ type Options struct {
 	// periodogram (robust ACF validation still runs) and the result is
 	// annotated in Result.Degraded. 0 (the default) derives a budget
 	// from the context deadline when one is present: 80% of the
-	// remaining time, split across the selected levels when they run
-	// sequentially. Negative disables budgeting even under a deadline;
-	// positive is an explicit per-level budget.
+	// remaining time for the whole periodogram stage, split equally
+	// across the selected levels, and no solve runs past the stage's
+	// end however many levels run at once. Negative disables budgeting
+	// even under a deadline; positive is an explicit per-level budget.
 	StageBudget time.Duration
 	// FillMissing linearly interpolates NaN runs in the input before
 	// detection (flat extension at the edges) instead of rejecting
@@ -161,10 +163,6 @@ type Options struct {
 	// suppresses harmonic false positives of non-sinusoidal waves
 	// (ablation switch).
 	NoHarmonicFilter bool
-	// Parallel runs the per-level detections on separate goroutines.
-	// Results are identical to the sequential path; only wall-clock
-	// time changes.
-	Parallel bool
 	// Trace, when non-nil, collects per-stage wall time, allocation
 	// counts and stage diagnostics across the whole pipeline; the
 	// summary lands in Result.Trace. A nil Trace (the default) is
@@ -204,9 +202,6 @@ func (o Options) withDefaults(n int) Options {
 	}
 	if o.NonRobust {
 		o.Detect.MPOpts.Loss = spectrum.LossL2
-	}
-	if o.Parallel {
-		o.Detect.Parallel = true
 	}
 	return o
 }
@@ -337,16 +332,17 @@ func DetectContext(ctx context.Context, y []float64, opts Options) (res *Result,
 
 	// Resolve the per-level periodogram budget: explicit > derived
 	// from the deadline > none. The derived budget spends at most 80%
-	// of the remaining time on periodogram solves, split across the
-	// selected levels when they run one after another, so even a
-	// pathological solve leaves room for validation before the
-	// deadline; the split factor is applied once the selection is
-	// known, below.
+	// of the remaining time on periodogram solves, ending at stageEnd,
+	// so even a pathological solve leaves room for validation before
+	// the deadline; the split across levels is applied once the
+	// selection is known, below.
 	budget := opts.StageBudget
+	var stageEnd time.Time // set only for a derived budget
 	if budget == 0 {
 		if dl, ok := ctx.Deadline(); ok {
 			if remain := time.Until(dl); remain > 0 {
 				budget = remain * 4 / 5
+				stageEnd = dl.Add(-remain / 5)
 			}
 		}
 	}
@@ -503,10 +499,20 @@ func DetectContext(ctx context.Context, y []float64, opts Options) (res *Result,
 	tr.Count(trace.StageRanking, "levels_ranked", int64(levels))
 	tr.Count(trace.StageRanking, "levels_selected", int64(len(selected)))
 
-	// A derived (deadline-based) budget is for the whole periodogram
-	// stage; sequential levels share it, parallel levels each get it.
-	if opts.StageBudget == 0 && opts.Detect.Budget > 0 && !opts.Parallel && len(selected) > 1 {
+	// A derived budget is for the whole periodogram stage: each level
+	// gets an equal share of it, and levelConfig caps every solve, a
+	// boundary retry included, at the stage's end. Levels that wait
+	// for a core or run side by side thus never stretch the stage past
+	// 80% of the remaining time.
+	if !stageEnd.IsZero() {
 		opts.Detect.Budget /= time.Duration(len(selected))
+	}
+	levelConfig := func() detect.Config {
+		cfg := opts.Detect
+		if !stageEnd.IsZero() {
+			cfg.Budget = max(min(cfg.Budget, time.Until(stageEnd)), time.Nanosecond)
+		}
+		return cfg
 	}
 
 	detectLevel := func(idx int) (det detect.Result, deg []Degradation, err error) {
@@ -538,7 +544,7 @@ func DetectContext(ctx context.Context, y []float64, opts Options) (res *Result,
 			}
 			return []Degradation{{Stage: trace.StagePeriodogram, Level: idx + 1, Reason: d.Degraded}}
 		}
-		det, derr := detect.Single(m.W[idx], kLo, kHi, opts.Detect)
+		det, derr := detect.Single(m.W[idx], kLo, kHi, levelConfig())
 		if derr != nil || det.Periodic || opts.CircularBoundary {
 			return det, annotate(det), derr
 		}
@@ -548,30 +554,22 @@ func DetectContext(ctx context.Context, y []float64, opts Options) (res *Result,
 		if rm == nil {
 			return det, annotate(det), nil
 		}
-		det2, derr2 := detect.Single(rm.W[idx], kLo, kHi, opts.Detect)
+		det2, derr2 := detect.Single(rm.W[idx], kLo, kHi, levelConfig())
 		if derr2 == nil && det2.Periodic {
 			return det2, annotate(det2), nil
 		}
 		return det, annotate(det), nil
 	}
+	// The levels are independent (§3.3): they run on the caller and
+	// any idle cores, and each level's verdict is the same whichever
+	// goroutine computes it.
 	results := make([]detect.Result, levels)
 	degs := make([][]Degradation, levels)
 	errs := make([]error, levels)
-	if opts.Parallel && len(selected) > 1 {
-		var wg sync.WaitGroup
-		for _, idx := range selected {
-			wg.Add(1)
-			go func(idx int) {
-				defer wg.Done()
-				results[idx], degs[idx], errs[idx] = detectLevel(idx)
-			}(idx)
-		}
-		wg.Wait()
-	} else {
-		for _, idx := range selected {
-			results[idx], degs[idx], errs[idx] = detectLevel(idx)
-		}
-	}
+	par.Each(len(selected), func(i int) {
+		idx := selected[i]
+		results[idx], degs[idx], errs[idx] = detectLevel(idx)
+	})
 	var hits []found
 	for _, idx := range selected {
 		if errs[idx] != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"runtime"
 	"testing"
 	"time"
 
@@ -205,19 +206,23 @@ func TestLevelFaultSkipsLevelOnly(t *testing.T) {
 }
 
 func TestLevelPanicIsContained(t *testing.T) {
-	for _, parallel := range []bool{false, true} {
+	// GOMAXPROCS=1 runs every level on the caller; 4 puts levels on
+	// helpers too.
+	for _, procs := range []int{1, 4} {
+		prev := runtime.GOMAXPROCS(procs)
 		armFaults(t, "core/level:panic:times=1")
 		x := paperSynthetic(1000, []int{20, 100}, 0.1, 0, 13)
-		res, err := Detect(x, Options{Parallel: parallel})
+		res, err := Detect(x, Options{})
 		faults.Disable()
+		runtime.GOMAXPROCS(prev)
 		if err != nil {
-			t.Fatalf("parallel=%v: %v", parallel, err)
+			t.Fatalf("procs=%d: %v", procs, err)
 		}
 		if !hasReason(res.Degraded, ReasonLevelPanic) {
-			t.Fatalf("parallel=%v: Degraded = %v, want %s", parallel, res.Degraded, ReasonLevelPanic)
+			t.Fatalf("procs=%d: Degraded = %v, want %s", procs, res.Degraded, ReasonLevelPanic)
 		}
 		if len(res.Periods) == 0 {
-			t.Errorf("parallel=%v: one panicking level lost every period", parallel)
+			t.Errorf("procs=%d: one panicking level lost every period", procs)
 		}
 	}
 }
@@ -242,6 +247,43 @@ func TestStageBudgetDegradesWithinLiveContext(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("budget fallback lost period 50: %v", res.Periods)
+	}
+}
+
+// TestDeadlineBudgetBoundsStalledStage stalls every robust solve until
+// its budget runs out, under a live deadline. The budget derived from
+// the deadline must end the periodogram stage within 80% of the
+// remaining time however the levels are scheduled, boundary retries
+// included, so the detect comes back degraded and not with
+// DeadlineExceeded: with levels and chunks on helpers (GOMAXPROCS 4)
+// and on the caller alone (GOMAXPROCS 1, no helper slot).
+func TestDeadlineBudgetBoundsStalledStage(t *testing.T) {
+	// Noisy enough that most selected levels are not periodic, so most
+	// levels also take the boundary retry.
+	x := paperSynthetic(1000, []int{100}, 1, 0, 29)
+	for _, procs := range []int{4, 1} {
+		prev := runtime.GOMAXPROCS(procs)
+		armFaults(t, "spectrum/stall:delay=1h")
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		res, err := DetectContext(ctx, x, Options{})
+		cancel()
+		faults.Disable()
+		runtime.GOMAXPROCS(prev)
+		if err != nil {
+			t.Fatalf("procs=%d: stalled stage under a deadline: %v, want a degraded result", procs, err)
+		}
+		selected := 0
+		for _, lv := range res.Levels {
+			if lv.Selected {
+				selected++
+			}
+		}
+		if selected < 2 {
+			t.Fatalf("procs=%d: %d level selected; the test needs the budget split", procs, selected)
+		}
+		if !hasReason(res.Degraded, "periodogram_budget_exceeded") {
+			t.Fatalf("procs=%d: Degraded = %v, want periodogram_budget_exceeded", procs, res.Degraded)
+		}
 	}
 }
 

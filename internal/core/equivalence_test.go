@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"robustperiod/internal/core"
@@ -35,9 +36,9 @@ func tablesCorpus(short bool) []synthetic.Labeled {
 }
 
 // TestDetectSolverPathEquivalence asserts that the staged solver
-// engine's shortcuts — the Fisher prefilter and the parallel worker
-// pool — detect exactly the same periods as the sequential exact
-// solver on the Tables 1-3 corpus. The
+// engine's shortcuts — the Fisher prefilter and the helper goroutines
+// that share levels and band chunks — detect exactly the same periods
+// as the exact solver on the Tables 1-3 corpus. The
 // shortcuts are performance features; any divergence in detected
 // periods is a bug.
 func TestDetectSolverPathEquivalence(t *testing.T) {
@@ -46,18 +47,21 @@ func TestDetectSolverPathEquivalence(t *testing.T) {
 	exactOpts := core.Options{}
 	exactOpts.Detect.MPOpts.NoPrefilter = true
 
+	// GOMAXPROCS=1 leaves no helper slot: the one-worker run.
 	variants := []struct {
-		name string
-		opts core.Options
+		name  string
+		procs int
 	}{
-		{"fast-sequential", core.Options{}},
-		{"fast-parallel", core.Options{Parallel: true}},
+		{"fast-sequential", 1},
+		{"fast-parallel", 4},
 	}
 
 	for _, lab := range corpus {
 		want, wantErr := core.Detect(lab.X, exactOpts)
 		for _, v := range variants {
-			got, gotErr := core.Detect(lab.X, v.opts)
+			prev := runtime.GOMAXPROCS(v.procs)
+			got, gotErr := core.Detect(lab.X, core.Options{})
+			runtime.GOMAXPROCS(prev)
 			if (wantErr != nil) != (gotErr != nil) {
 				t.Errorf("%s [%s]: error mismatch: exact=%v got=%v", lab.Name, v.name, wantErr, gotErr)
 				continue

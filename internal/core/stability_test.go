@@ -1,8 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
+	"sync"
 	"testing"
 
 	"robustperiod/internal/wavelet"
@@ -64,26 +68,101 @@ func TestDetectWindowOffsetStability(t *testing.T) {
 	}
 }
 
-// TestDetectParallelMatchesSequential verifies the goroutine path is
-// a pure wall-clock optimization.
+// TestDetectParallelMatchesSequential verifies that running levels and
+// band chunks on helper goroutines is a pure wall-clock optimization:
+// the periods and every level's ordinates equal the one-worker run's.
 func TestDetectParallelMatchesSequential(t *testing.T) {
+	withProcs(t, 4)
 	for tr := 0; tr < 4; tr++ {
 		x := paperSynthetic(1000, []int{20, 50, 100}, 0.5, 0.05, int64(900+tr))
-		seq, err := Detect(x, Options{})
+		seq, err := oneWorker(func() (*Result, error) { return Detect(x, Options{}) })
 		if err != nil {
 			t.Fatal(err)
 		}
-		par, err := Detect(x, Options{Parallel: true})
+		par, err := Detect(x, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(seq.Periods) != len(par.Periods) {
-			t.Fatalf("trial %d: %v vs %v", tr, seq.Periods, par.Periods)
+		if err := sameResult(seq, par); err != nil {
+			t.Fatalf("trial %d: %v", tr, err)
 		}
-		for i := range seq.Periods {
-			if seq.Periods[i] != par.Periods[i] {
-				t.Fatalf("trial %d: %v vs %v", tr, seq.Periods, par.Periods)
+	}
+}
+
+// withProcs runs the test at GOMAXPROCS p, so detects get p−1 helper
+// slots whatever the host's core count.
+func withProcs(t *testing.T, p int) {
+	t.Helper()
+	prev := runtime.GOMAXPROCS(p)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
+// oneWorker runs detect at GOMAXPROCS=1, where no helper slot exists:
+// the reference every fan-out must reproduce bit for bit.
+func oneWorker(detect func() (*Result, error)) (*Result, error) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	return detect()
+}
+
+// sameResult reports the first difference between two detections in
+// their periods, level selection, verdicts or ordinates.
+func sameResult(want, got *Result) error {
+	if !slices.Equal(want.Periods, got.Periods) {
+		return fmt.Errorf("periods %v, want %v", got.Periods, want.Periods)
+	}
+	if len(want.Levels) != len(got.Levels) {
+		return fmt.Errorf("%d levels, want %d", len(got.Levels), len(want.Levels))
+	}
+	for j, w := range want.Levels {
+		g := got.Levels[j]
+		if w.Selected != g.Selected || w.Detection.Final != g.Detection.Final || w.Detection.KHat != g.Detection.KHat {
+			return fmt.Errorf("level %d: selected=%v final=%d kHat=%d, want selected=%v final=%d kHat=%d",
+				w.Level, g.Selected, g.Detection.Final, g.Detection.KHat, w.Selected, w.Detection.Final, w.Detection.KHat)
+		}
+		if !slices.Equal(w.Detection.Periodogram, g.Detection.Periodogram) {
+			return fmt.Errorf("level %d: periodogram ordinates differ", w.Level)
+		}
+		if !slices.Equal(w.Detection.ACF, g.Detection.ACF) {
+			return fmt.Errorf("level %d: ACF differs", w.Level)
+		}
+	}
+	return nil
+}
+
+// TestPoolConcurrentDetectsFinish runs eight detects at once, each
+// fanning out over its levels and then over its bands' chunks, with
+// fewer helper slots than detects. All must finish (no fan-out waits
+// on work that has not started), each equal to its one-worker run.
+func TestPoolConcurrentDetectsFinish(t *testing.T) {
+	withProcs(t, 4)
+	const detects = 8
+	series := make([][]float64, detects)
+	refs := make([]*Result, detects)
+	for g := range series {
+		series[g] = paperSynthetic(1000, []int{20, 50 + 5*g, 100}, 0.3, 0.02, int64(700+g))
+		ref, err := oneWorker(func() (*Result, error) { return Detect(series[g], Options{}) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		refs[g] = ref
+	}
+	errs := make([]error, detects)
+	var wg sync.WaitGroup
+	for g := range series {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, err := Detect(series[g], Options{})
+			if err == nil {
+				err = sameResult(refs[g], res)
 			}
+			errs[g] = err
+		}()
+	}
+	wg.Wait()
+	for g, err := range errs {
+		if err != nil {
+			t.Errorf("detect %d: %v", g, err)
 		}
 	}
 }

@@ -97,23 +97,25 @@ func TestTraceCoversPipeline(t *testing.T) {
 }
 
 // TestTracedParallelDetection exercises the trace's concurrency paths
-// through the parallel per-level fan-out (run under -race in CI).
+// through the per-level and per-chunk fan-out (run under -race in CI):
+// the traced detect must equal the untraced one-worker run.
 func TestTracedParallelDetection(t *testing.T) {
+	withProcs(t, 4)
 	x := paperSynthetic(1000, []int{20, 50, 100}, 0.1, 0.01, 11)
 	tr := trace.New()
-	res, err := Detect(x, Options{Trace: tr, Parallel: true})
+	res, err := Detect(x, Options{Trace: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := Detect(x, Options{Parallel: true})
+	plain, err := oneWorker(func() (*Result, error) { return Detect(x, Options{}) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(res.Periods, plain.Periods) {
-		t.Fatalf("traced parallel periods differ: %v vs %v", res.Periods, plain.Periods)
+	if err := sameResult(plain, res); err != nil {
+		t.Fatalf("traced detect differs from the one-worker run: %v", err)
 	}
 	if res.Trace.Stage(trace.StagePeriodogram) == nil {
-		t.Fatal("parallel detection recorded no periodogram stage")
+		t.Fatal("detection recorded no periodogram stage")
 	}
 }
 

@@ -28,9 +28,6 @@ type Config struct {
 	ACFHeight float64
 	// MinPeriod rejects candidates shorter than this; < 2 means 2.
 	MinPeriod int
-	// Parallel fans the robust periodogram's per-frequency regressions
-	// out over all CPUs.
-	Parallel bool
 	// Trace, when non-nil, times the periodogram and validation stages
 	// and tallies Fisher/ACF verdicts. Same-named stages from
 	// concurrent per-level detections merge into one accumulator.
@@ -158,7 +155,6 @@ func Single(x []float64, kLo, kHi int, cfg Config) (Result, error) {
 	// inversion, and including its structural zeros in the loss would
 	// shrink strong ordinates more than weak ones.
 	cfg.MPOpts.FitLength = n
-	cfg.MPOpts.Parallel = cfg.MPOpts.Parallel || cfg.Parallel
 	if cfg.MPOpts.Trace == nil {
 		cfg.MPOpts.Trace = cfg.Trace
 	}

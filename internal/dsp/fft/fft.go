@@ -90,8 +90,11 @@ type plan struct {
 	work  sync.Pool // *[]complex128 of length m
 
 	// Real transforms of length 2n: exp(−iπk/n) for k ≤ n/2, the
-	// twiddles that unpack the half-length transform.
+	// twiddles that unpack the half-length transform, and pooled
+	// (n+1)-long buffers for the half spectra that the periodograms
+	// and HalfSpectrumRe read and drop.
 	unpack []complex128
+	half   sync.Pool // *[]complex128 of length n+1
 }
 
 // maxOtherPlans bounds the cached plans whose length is not a power of
@@ -146,6 +149,10 @@ func planFor(n int) *plan {
 
 func newPlan(n int) *plan {
 	p := &plan{unpack: make([]complex128, n/2+1)}
+	p.half.New = func() any {
+		buf := make([]complex128, n+1)
+		return &buf
+	}
 	for k := range p.unpack {
 		s, c := math.Sincos(-math.Pi * float64(k) / float64(n))
 		p.unpack[k] = complex(c, s)
@@ -268,24 +275,6 @@ func (p *plan) bluestein(x []complex128) {
 	p.work.Put(buf)
 }
 
-// HalfSpectrum returns X[k] for k = 0..⌊N/2⌋, the half of a real
-// series' DFT that determines the rest (X[N−k] = conj X[k]). Even
-// lengths run one complex transform of length N/2; odd lengths run
-// the complex transform of the whole series. An empty input yields
-// nil.
-func HalfSpectrum(x []float64) []complex128 {
-	n := len(x)
-	if n == 0 {
-		return nil
-	}
-	if n%2 == 1 {
-		return complexTransform(x)[:n/2+1]
-	}
-	out := make([]complex128, n/2+1)
-	halfSpectrum(x, out)
-	return out
-}
-
 // FFTReal returns the DFT of a real-valued series as a full-length
 // complex spectrum. Even lengths compute the half spectrum with one
 // complex transform of half the length and fill the rest by conjugate
@@ -354,17 +343,66 @@ func Periodogram(x []float64) []float64 {
 	if n == 0 {
 		return nil
 	}
-	spec := HalfSpectrum(x)
 	p := make([]float64, n)
-	inv := 1 / float64(n)
-	for k, v := range spec {
-		re, im := real(v), imag(v)
-		p[k] = (re*re + im*im) * inv
-	}
-	for k := len(spec); k < n; k++ {
+	halfPower(x, p[:n/2+1])
+	for k := n/2 + 1; k < n; k++ {
 		p[k] = p[n-k]
 	}
 	return p
+}
+
+// HalfPeriodogram returns P[k] for k = 0..⌊N/2⌋ only, the half of
+// Periodogram that determines the rest, equal to it bit for bit, for
+// callers that read no higher ordinate. An empty input yields nil.
+func HalfPeriodogram(x []float64) []float64 {
+	if len(x) == 0 {
+		return nil
+	}
+	p := make([]float64, len(x)/2+1)
+	halfPower(x, p)
+	return p
+}
+
+// HalfSpectrumRe writes Re X[k] of the real series x into out[k] for
+// k < len(out) ≤ ⌊N/2⌋+1, taking the half spectrum in a pooled buffer
+// at even lengths.
+func HalfSpectrumRe(x, out []float64) {
+	if len(out) == 0 {
+		return
+	}
+	withHalfSpectrum(x, func(spec []complex128) {
+		for k := range out {
+			out[k] = real(spec[k])
+		}
+	})
+}
+
+// halfPower writes |X[k]|²/N, k = 0..⌊N/2⌋, of the real series x into
+// p.
+func halfPower(x, p []float64) {
+	inv := 1 / float64(len(x))
+	withHalfSpectrum(x, func(spec []complex128) {
+		for k, v := range spec {
+			re, im := real(v), imag(v)
+			p[k] = (re*re + im*im) * inv
+		}
+	})
+}
+
+// withHalfSpectrum calls use with X[k], k = 0..⌊N/2⌋, of the real
+// series x (N ≥ 1). An even length takes the half spectrum in a buffer
+// pooled on the half-length plan, which use must not retain.
+func withHalfSpectrum(x []float64, use func(spec []complex128)) {
+	n := len(x)
+	if n%2 == 1 {
+		use(complexTransform(x)[:n/2+1])
+		return
+	}
+	pl := planFor(n / 2)
+	buf := pl.half.Get().(*[]complex128)
+	halfSpectrum(x, *buf)
+	use(*buf)
+	pl.half.Put(buf)
 }
 
 // Autocorrelation returns the biased sample autocovariance-based ACF

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -404,9 +405,10 @@ func TestPlanCacheBoundedConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestPeriodogramWarmAllocs pins a warm Periodogram to its output plus
-// one half-spectrum scratch, at a Bluestein half (1000) and a
-// power-of-two half (1024).
+// TestPeriodogramWarmAllocs pins a warm Periodogram to its output; the
+// half spectrum comes from the plan's pool, which the race detector
+// empties at random, hence the slack of one. At a Bluestein half
+// (1000) and a power-of-two half (1024).
 func TestPeriodogramWarmAllocs(t *testing.T) {
 	for _, n := range []int{2000, 2048} {
 		x := make([]float64, n)
@@ -416,6 +418,58 @@ func TestPeriodogramWarmAllocs(t *testing.T) {
 		Periodogram(x)
 		if allocs := testing.AllocsPerRun(100, func() { Periodogram(x) }); allocs > 2 {
 			t.Errorf("n=%d: warm Periodogram allocated %.0f objects per run, want at most 2", n, allocs)
+		}
+	}
+}
+
+// TestHalfPeriodogramMatchesPeriodogram: the half periodogram is the
+// full one's first ⌊N/2⌋+1 ordinates bit for bit, and holds no more.
+func TestHalfPeriodogramMatchesPeriodogram(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	for _, n := range []int{1, 2, 3, 7, 64, 100, 999, 2000, 2048} {
+		x := make([]float64, n)
+		for i := range x {
+			x[i] = rng.NormFloat64()
+		}
+		full, half := Periodogram(x), HalfPeriodogram(x)
+		if len(half) != n/2+1 || cap(half) != n/2+1 {
+			t.Fatalf("n=%d: half periodogram len %d cap %d, want %d", n, len(half), cap(half), n/2+1)
+		}
+		for k, v := range half {
+			if v != full[k] {
+				t.Fatalf("n=%d: P[%d] = %v, full periodogram %v", n, k, v, full[k])
+			}
+		}
+	}
+	if HalfPeriodogram(nil) != nil {
+		t.Error("empty input should yield nil")
+	}
+}
+
+// TestHalfPeriodogramWarmBytes pins the bytes of a warm HalfPeriodogram
+// to its own ⌊N/2⌋+1 ordinates (plus allocator rounding): the half
+// spectrum is taken in a pooled buffer and nothing is mirrored. The
+// full Periodogram's N ordinates would fail it.
+func TestHalfPeriodogramWarmBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled buffers at random")
+	}
+	for _, n := range []int{2000, 2048} {
+		x := make([]float64, n)
+		for i := range x[:n/2] {
+			x[i] = math.Sin(float64(i))
+		}
+		HalfPeriodogram(x)
+		const runs = 100
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for i := 0; i < runs; i++ {
+			HalfPeriodogram(x)
+		}
+		runtime.ReadMemStats(&m1)
+		perRun := (m1.TotalAlloc - m0.TotalAlloc) / runs
+		if limit := uint64(8*(n/2+1) + 2048); perRun > limit {
+			t.Errorf("n=%d: warm HalfPeriodogram allocated %d bytes per run, want at most %d", n, perRun, limit)
 		}
 	}
 }

@@ -301,7 +301,14 @@ func Describe() string {
 // allocation, no lock. With the named point armed and firing, it
 // returns an *InjectedError (ActError), panics with one (ActPanic),
 // or sleeps and returns nil (ActDelay).
-func Check(name string) error {
+func Check(name string) error { return check(name, nil) }
+
+// CheckDone is Check for a point inside work that a cancellation
+// signal bounds: a delay ends early once done is closed, as the slow
+// work it stands for would stop. A nil done never closes.
+func CheckDone(name string, done <-chan struct{}) error { return check(name, done) }
+
+func check(name string, done <-chan struct{}) error {
 	plan := active.Load()
 	if plan == nil {
 		return nil
@@ -314,7 +321,12 @@ func Check(name string) error {
 	case ActPanic:
 		panic(&InjectedError{Point: name})
 	case ActDelay:
-		time.Sleep(pt.delay)
+		t := time.NewTimer(pt.delay)
+		defer t.Stop()
+		select {
+		case <-t.C:
+		case <-done:
+		}
 		return nil
 	default:
 		return &InjectedError{Point: name}

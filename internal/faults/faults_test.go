@@ -78,6 +78,22 @@ func TestDelayAction(t *testing.T) {
 	}
 }
 
+// TestCheckDoneDelayEndsWithDone: a delay at a point bounded by a
+// cancellation signal ends when the signal fires, as the slow work it
+// stands for would.
+func TestCheckDoneDelayEndsWithDone(t *testing.T) {
+	arm(t, "spectrum/stall:delay=1h")
+	done := make(chan struct{})
+	time.AfterFunc(20*time.Millisecond, func() { close(done) })
+	start := time.Now()
+	if err := CheckDone(PointSpectrumStall, done); err != nil {
+		t.Fatalf("delay action returned error %v", err)
+	}
+	if d := time.Since(start); d < 15*time.Millisecond || d > 10*time.Second {
+		t.Errorf("delay bounded by a 20ms signal lasted %v", d)
+	}
+}
+
 func TestSeededProbabilityIsDeterministic(t *testing.T) {
 	run := func() []bool {
 		p := MustParse("spectrum/solver:error:p=0.5:seed=42")

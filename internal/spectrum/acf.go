@@ -43,15 +43,16 @@ func ACFFromPeriodogram(full []float64, n int) ([]float64, error) {
 	if len(full) < 2*n {
 		return nil, fmt.Errorf("spectrum: full periodogram length %d < 2n = %d", len(full), 2*n)
 	}
-	spec := fft.HalfSpectrum(full)
 	acf := make([]float64, n)
-	p0 := real(spec[0])
+	fft.HalfSpectrumRe(full, acf) // acf[t] = Re DFT{P}_t until scaled below
+	p0 := acf[0]
 	if p0 == 0 {
+		clear(acf)
 		acf[0] = 1
 		return acf, nil
 	}
 	for t := range acf {
-		acf[t] = float64(n) * real(spec[t]) / (float64(n-t) * p0)
+		acf[t] = float64(n) * acf[t] / (float64(n-t) * p0)
 	}
 	return acf, nil
 }

@@ -10,9 +10,9 @@ package spectrum
 //   - a trig plan cache keyed by (N, FitLength) precomputes the N-th
 //     roots of unity once and shares them across every wavelet level
 //     (each level solves a different band of the same padded grid);
-//   - the band is carved into fixed 64-frequency chunks claimed off an
-//     atomic cursor by a bounded pool of persistent workers, each
-//     owning a private scratch arena (trig columns, ADMM state);
+//   - the band is carved into fixed 64-frequency chunks that par.Each
+//     spreads over the caller and any idle cores, each chunk solved in
+//     a pooled scratch arena (trig columns, ADMM state);
 //   - on the padded detect layout, the Huber solve takes Newton steps,
 //     which stop once the set of outlying samples stops changing
 //     (about three per frequency, where IRLS took about ten), with
@@ -22,15 +22,14 @@ package spectrum
 //
 // Every frequency is solved from its own OLS init, independently of
 // its neighbours, so the ordinates are bitwise identical no matter how
-// many workers participate (or whether the caller asked for Parallel
-// at all).
+// many goroutines share the band.
 
 import (
 	"math"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
+	"robustperiod/internal/par"
 	"robustperiod/internal/stat/dist"
 	"robustperiod/internal/stat/robust"
 	"robustperiod/internal/trace"
@@ -41,11 +40,6 @@ const (
 	// enough that claiming a chunk off the cursor costs nothing next
 	// to solving it.
 	solveChunk = 64
-
-	// maxPoolWorkers bounds the solver pool no matter how many CPUs
-	// the host exposes; the per-frequency solves are memory-light, and
-	// past this width the atomic cursor and shared caches dominate.
-	maxPoolWorkers = 16
 
 	// planCacheCap bounds the trig plan cache. The detect pipeline
 	// uses one plan per padded length; a handful covers every caller
@@ -172,9 +166,9 @@ func getPlan(n, m int) *trigPlan {
 	return p
 }
 
-// scratch is one worker's private arena: the trig design columns plus
-// the ADMM splitting state, sized once per job and reused across every
-// frequency the worker solves. Nothing in the hot loop allocates.
+// scratch is one chunk's arena: the trig design columns plus the ADMM
+// splitting state, reused across every frequency of the chunk.
+// Nothing in the hot loop allocates.
 type scratch struct {
 	cos, sin []float64
 	z, u     []float64
@@ -195,47 +189,14 @@ func (s *scratch) ensure(m int, admm bool) {
 	}
 }
 
-// scratchPool recycles submitter-side arenas across calls; the pool
-// daemons own a long-lived arena each.
+// scratchPool recycles chunk arenas across chunks, bands and calls.
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
-// solverPool is the process-wide bounded worker pool. Daemons start
-// lazily on the first parallel band and then live for the process —
-// per-call goroutine fan-out (and its allocation churn) is gone, and
-// concurrency is bounded globally rather than per call, so nested
-// parallelism (per-level fan × per-band fan) cannot oversubscribe.
-var solverPool struct {
-	once    sync.Once
-	workers int
-	jobs    chan *bandJob
-}
+// testHookChunk, when set by a test, runs at the start of every chunk
+// with the chunk's index.
+var testHookChunk func(c int)
 
-func poolWorkers() int {
-	solverPool.once.Do(func() {
-		w := runtime.GOMAXPROCS(0)
-		if w > maxPoolWorkers {
-			w = maxPoolWorkers
-		}
-		solverPool.workers = w
-		if w < 2 {
-			return // submitters run inline; no daemons needed
-		}
-		solverPool.jobs = make(chan *bandJob, w)
-		for i := 0; i < w; i++ {
-			go func() {
-				sc := new(scratch)
-				for job := range solverPool.jobs {
-					job.run(sc)
-					job.wg.Done()
-				}
-			}()
-		}
-	})
-	return solverPool.workers
-}
-
-// bandJob is one band solve: the shared inputs plus the atomic chunk
-// cursor the workers claim work from.
+// bandJob is one band solve: the inputs every chunk shares.
 type bandJob struct {
 	fit      []float64
 	kLo, kHi int
@@ -254,67 +215,28 @@ type bandJob struct {
 	skip  []bool
 	cheap []float64
 
-	out     []float64
-	nChunks int
-	cursor  atomic.Int64
-	iters   atomic.Int64
-	wg      sync.WaitGroup
+	out   []float64
+	iters atomic.Int64
 }
 
-// execute runs the job to completion: the caller always participates,
-// and when Parallel is set, idle pool daemons are enlisted with a
-// non-blocking submit (a busy pool just means the caller does the work
-// itself — never a deadlock, even from inside another parallel job).
-func (j *bandJob) execute() {
-	j.nChunks = (j.kHi - j.kLo + solveChunk) / solveChunk
-	if j.opts.Parallel && j.nChunks > 1 && poolWorkers() > 1 {
-		helpers := j.nChunks - 1
-		if helpers > solverPool.workers {
-			helpers = solverPool.workers
-		}
-		for i := 0; i < helpers; i++ {
-			j.wg.Add(1)
-			select {
-			case solverPool.jobs <- j:
-			default:
-				j.wg.Done()
-				i = helpers
-			}
-		}
+// runChunk solves chunk c, frequencies kLo+64c up to kHi, merging its
+// iteration tally into the job once at the end.
+func (j *bandJob) runChunk(c int) {
+	if testHookChunk != nil {
+		testHookChunk(c)
 	}
-	sc := scratchPool.Get().(*scratch)
-	j.run(sc)
-	scratchPool.Put(sc)
-	j.wg.Wait()
-}
-
-// run claims chunks off the cursor until the band is exhausted,
-// merging this worker's iteration tally into the job once at exit.
-func (j *bandJob) run(sc *scratch) {
-	sc.ensure(len(j.fit), j.opts.Solver == SolverADMM)
-	var iters int64
-	for {
-		c := int(j.cursor.Add(1)) - 1
-		if c >= j.nChunks || cancelled(j.done) {
-			break
-		}
-		j.runChunk(c, sc, &iters)
-	}
-	if iters != 0 {
-		j.iters.Add(iters)
-	}
-}
-
-func (j *bandJob) runChunk(c int, sc *scratch, iters *int64) {
 	kStart := j.kLo + c*solveChunk
 	kEnd := kStart + solveChunk - 1
 	if kEnd > j.kHi {
 		kEnd = j.kHi
 	}
+	sc := scratchPool.Get().(*scratch)
+	sc.ensure(len(j.fit), j.opts.Solver == SolverADMM)
 	cosB, sinB := sc.cos, sc.sin
+	var iters int64
 	for k := kStart; k <= kEnd; k++ {
 		if cancelled(j.done) {
-			return
+			break
 		}
 		i := k - j.kLo
 		if j.skip != nil && j.skip[i] {
@@ -335,8 +257,12 @@ func (j *bandJob) runChunk(c int, sc *scratch, iters *int64) {
 				a, b, it = solveIRLSFrom(j.fit, cosB, sinB, a0, b0, j.opts, j.done)
 			}
 		}
-		*iters += int64(it)
+		iters += int64(it)
 		j.out[i] = j.scale * (a*a + b*b)
+	}
+	scratchPool.Put(sc)
+	if iters != 0 {
+		j.iters.Add(iters)
 	}
 }
 
@@ -620,7 +546,7 @@ func solveBand(x []float64, kLo, kHi int, opts Options, pre *prefilterResult) ([
 		j.lad.build(j.fit, opts.Zeta)
 		defer ladderPool.Put(j.lad)
 	}
-	j.execute()
+	par.Each((kHi-kLo+solveChunk)/solveChunk, j.runChunk)
 	if err := ctxErr(opts.Ctx); err != nil {
 		return nil, err
 	}

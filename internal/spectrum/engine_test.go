@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -253,29 +254,28 @@ func TestLadderScanMatchesFullScan(t *testing.T) {
 	}
 }
 
-// TestSolverStressParallelIdentical hammers the shared worker pool,
-// plan cache, ladder pool and prefilter from many goroutines at once
-// (run under -race by the chaos CI job). Each goroutine solves its own
-// series, so a pooled buffer handed to another solve while still in
-// use would change some ordinate; every concurrent result must be
-// bitwise identical to its sequential reference.
+// TestSolverStressParallelIdentical hammers the helper fan-out, plan
+// cache, ladder pool, scratch pool and prefilter from many goroutines
+// at once (run under -race by the chaos CI job). Each goroutine solves
+// its own series, so a pooled buffer handed to another solve while
+// still in use would change some ordinate; every concurrent result
+// must be bitwise identical to its one-worker reference.
 func TestSolverStressParallelIdentical(t *testing.T) {
+	withProcs(t, 4)
 	const goroutines = 8
 	n := 512
 	kHi := n - 1
-	seqOpts := Options{Loss: LossHuber, FitLength: n, PrefilterAlpha: 0.01}
+	opts := Options{Loss: LossHuber, FitLength: n, PrefilterAlpha: 0.01}
 	series := make([][]float64, goroutines)
 	refs := make([][]float64, goroutines)
 	for g := range series {
 		series[g] = paddedSeries(n, []int{24 + 8*g, 80}, 0.1, 0.5, 11+int64(g))
-		ref, err := HybridPeriodogram(series[g], 1, kHi, seqOpts)
+		ref, err := oneWorker(func() ([]float64, error) { return HybridPeriodogram(series[g], 1, kHi, opts) })
 		if err != nil {
 			t.Fatal(err)
 		}
 		refs[g] = ref
 	}
-	parOpts := seqOpts
-	parOpts.Parallel = true
 
 	var wg sync.WaitGroup
 	errs := make(chan error, goroutines)
@@ -284,14 +284,14 @@ func TestSolverStressParallelIdentical(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 5; i++ {
-				got, err := HybridPeriodogram(series[g], 1, kHi, parOpts)
+				got, err := HybridPeriodogram(series[g], 1, kHi, opts)
 				if err != nil {
 					errs <- err
 					return
 				}
 				for k := range got {
 					if got[k] != refs[g][k] {
-						t.Errorf("series %d: parallel ordinate %d = %g, sequential %g", g, k, got[k], refs[g][k])
+						t.Errorf("series %d: concurrent ordinate %d = %g, one-worker %g", g, k, got[k], refs[g][k])
 						return
 					}
 				}
@@ -303,6 +303,21 @@ func TestSolverStressParallelIdentical(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
+}
+
+// withProcs runs the test at GOMAXPROCS p, so solves get p−1 helper
+// slots whatever the host's core count.
+func withProcs(t *testing.T, p int) {
+	t.Helper()
+	prev := runtime.GOMAXPROCS(p)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
+// oneWorker runs solve at GOMAXPROCS=1, where no helper slot exists:
+// the reference every fan-out must reproduce bit for bit.
+func oneWorker(solve func() ([]float64, error)) ([]float64, error) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	return solve()
 }
 
 // TestSolverStressCancel cancels contexts racing against in-flight
@@ -320,7 +335,7 @@ func TestSolverStressCancel(t *testing.T) {
 			for i := 0; i < 8; i++ {
 				ctx, cancel := context.WithCancel(context.Background())
 				timer := time.AfterFunc(time.Duration(g*i%5)*100*time.Microsecond, cancel)
-				opts := Options{Loss: LossHuber, FitLength: n, Parallel: true, Ctx: ctx}
+				opts := Options{Loss: LossHuber, FitLength: n, Ctx: ctx}
 				_, err := MPeriodogram(padded, 1, kHi, opts)
 				if err != nil && err != context.Canceled {
 					t.Errorf("unexpected error: %v", err)

@@ -72,13 +72,6 @@ type Options struct {
 	Tol     float64 // relative convergence tolerance; <= 0 means 1e-8
 	Rho     float64 // ADMM penalty; <= 0 means 1
 
-	// Parallel enlists the bounded solver worker pool for the
-	// per-frequency regressions when the requested band spans more
-	// than one work chunk. Results are bitwise identical to the
-	// sequential path: every frequency is solved independently of
-	// which worker solves its neighbours (see engine.go).
-	Parallel bool
-
 	// Trace, when non-nil, accumulates the solver engine's
 	// diagnostics under the "periodogram" stage: total Newton/IRLS/ADMM
 	// iterations ("solver_iters") and frequencies skipped by the
@@ -154,11 +147,7 @@ func (o Options) withDefaults(x []float64) Options {
 // Periodogram returns the half-range classical periodogram
 // P[k] = |Σ_t x_t e^{−i2πkt/N}|²/N for k = 0..⌊N/2⌋ (Eq. 5).
 func Periodogram(x []float64) []float64 {
-	full := fft.Periodogram(x)
-	if full == nil {
-		return nil
-	}
-	return full[:len(x)/2+1]
+	return fft.HalfPeriodogram(x)
 }
 
 // MPeriodogram returns the robust M-periodogram ordinates
@@ -177,19 +166,20 @@ func MPeriodogram(x []float64, kLo, kHi int, opts Options) ([]float64, error) {
 	opts = opts.withDefaults(x)
 	// Fault points: "spectrum/solver" simulates a robust-regression
 	// failure (IRLS/ADMM divergence surrogate), "spectrum/stall" a
-	// stage stall (its delay action sleeps inside the solve, so a
-	// caller-imposed stage budget sees it exactly like a slow solve).
+	// stage stall (its delay action sleeps inside the solve until
+	// Ctx ends, so a caller-imposed stage budget sees it exactly like
+	// a slow solve).
 	if err := faults.Check(faults.PointSpectrumSolver); err != nil {
 		return nil, err
 	}
-	if err := faults.Check(faults.PointSpectrumStall); err != nil {
+	if err := faults.CheckDone(faults.PointSpectrumStall, ctxDone(opts.Ctx)); err != nil {
 		return nil, err
 	}
 	if opts.Loss == LossL2 {
 		// The sum-of-squares M-periodogram is exactly the classical
 		// periodogram (the paper notes the equivalence below Eq. 6);
 		// take the O(N log N) FFT path instead of per-frequency OLS.
-		p := fft.Periodogram(x)
+		p := fft.HalfPeriodogram(x)
 		out := make([]float64, kHi-kLo+1)
 		copy(out, p[kLo:kHi+1])
 		return out, nil
@@ -494,7 +484,7 @@ func HybridPeriodogram(x []float64, kLo, kHi int, opts Options) ([]float64, erro
 	if err := faults.Check(faults.PointSpectrumSolver); err != nil {
 		return nil, err
 	}
-	if err := faults.Check(faults.PointSpectrumStall); err != nil {
+	if err := faults.CheckDone(faults.PointSpectrumStall, ctxDone(opts.Ctx)); err != nil {
 		return nil, err
 	}
 	robustNyq := len(x)%2 == 0 && kHi == nyq-1 && nyq < len(p)

@@ -98,7 +98,7 @@ func buildPrefilter(x []float64, kLo, kHi int, opts Options, classical []float64
 	}
 	zeta := opts.Zeta
 
-	// Clipped-series vanilla periodogram: C_k = g_k²/N for all k.
+	// Clipped-series vanilla periodogram: C_k = g_k²/N for k ≤ N/2.
 	clipped := make([]float64, n)
 	for t := 0; t < m; t++ {
 		v := x[t]
@@ -109,7 +109,7 @@ func buildPrefilter(x []float64, kLo, kHi int, opts Options, classical []float64
 		}
 		clipped[t] = v
 	}
-	pClip := fft.Periodogram(clipped)
+	pClip := fft.HalfPeriodogram(clipped)
 
 	// μ(ρ) for each ball radius.
 	var mu [len(ballFractions)]float64

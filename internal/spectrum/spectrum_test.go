@@ -3,6 +3,7 @@ package spectrum
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"robustperiod/internal/dsp/fft"
@@ -248,8 +249,9 @@ func TestACFFromPeriodogramMatchesDirect(t *testing.T) {
 }
 
 // TestACFFromPeriodogramWarmAllocs pins the Wiener–Khinchin ACF to its
-// output plus one half-spectrum scratch, at a Bluestein half (1000)
-// and a power-of-two half (1024).
+// output; the half spectrum comes from the plan's pool, which the
+// race detector empties at random, hence the slack of one. At a
+// Bluestein half (1000) and a power-of-two half (1024).
 func TestACFFromPeriodogramWarmAllocs(t *testing.T) {
 	for _, n := range []int{1000, 1024} {
 		padded := make([]float64, 2*n)
@@ -263,6 +265,51 @@ func TestACFFromPeriodogramWarmAllocs(t *testing.T) {
 		acf()
 		if allocs := testing.AllocsPerRun(100, acf); allocs > 2 {
 			t.Errorf("n=%d: warm ACFFromPeriodogram allocated %.0f objects per run, want at most 2", n, allocs)
+		}
+	}
+}
+
+// TestACFFromPeriodogramWarmBytes pins the bytes of a warm
+// Wiener–Khinchin ACF to its own n lags (plus allocator rounding): the
+// half spectrum is taken in a pooled buffer.
+func TestACFFromPeriodogramWarmBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled buffers at random")
+	}
+	for _, n := range []int{1000, 1024} {
+		padded := make([]float64, 2*n)
+		copy(padded, addNoise(sinusoid(n, 20, 1), 0.1, 9))
+		full := fft.Periodogram(padded)
+		if _, err := ACFFromPeriodogram(full, n); err != nil {
+			t.Fatal(err)
+		}
+		const runs = 100
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for i := 0; i < runs; i++ {
+			ACFFromPeriodogram(full, n) //nolint:errcheck // checked above
+		}
+		runtime.ReadMemStats(&m1)
+		perRun := (m1.TotalAlloc - m0.TotalAlloc) / runs
+		if limit := uint64(8*n + 2048); perRun > limit {
+			t.Errorf("n=%d: warm ACFFromPeriodogram allocated %d bytes per run, want at most %d", n, perRun, limit)
+		}
+	}
+}
+
+// TestHybridPeriodogramHoldsHalfOnly: the half-range periodogram that a
+// detection keeps (detect.Result.Periodogram) holds its ⌊N/2⌋+1
+// ordinates and no mirrored half behind them.
+func TestHybridPeriodogramHoldsHalfOnly(t *testing.T) {
+	for _, n := range []int{500, 512} {
+		padded := make([]float64, 2*n)
+		copy(padded, addNoise(sinusoid(n, 20, 1), 0.1, 9))
+		half, err := HybridPeriodogram(padded, 10, 120, Options{Loss: LossHuber, FitLength: n})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(half) != n+1 || cap(half) != n+1 {
+			t.Errorf("n=%d: periodogram len %d cap %d, want %d", n, len(half), cap(half), n+1)
 		}
 	}
 }
@@ -356,14 +403,16 @@ func TestMPeriodogramScaleEquivariance(t *testing.T) {
 	}
 }
 
-// Property: Parallel and sequential M-periodograms are bit-identical.
+// Property: M-periodograms whose chunks run on helpers are
+// bit-identical to the one-worker run.
 func TestMPeriodogramParallelIdentical(t *testing.T) {
+	withProcs(t, 4)
 	x := addSpikes(addNoise(sinusoid(600, 40, 1), 0.3, 32), 15, 8, 33)
-	seq, err := MPeriodogram(x, 1, 299, Options{Loss: LossHuber})
+	seq, err := oneWorker(func() ([]float64, error) { return MPeriodogram(x, 1, 299, Options{Loss: LossHuber}) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := MPeriodogram(x, 1, 299, Options{Loss: LossHuber, Parallel: true})
+	par, err := MPeriodogram(x, 1, 299, Options{Loss: LossHuber})
 	if err != nil {
 		t.Fatal(err)
 	}
