@@ -138,7 +138,7 @@ func main() {
 	flag.DurationVar(&cfg.SLOLatencyTarget, "slo-latency-target", 0, "latency-SLO threshold a P99-good request must beat (0 = 500ms)")
 	flag.StringVar(&cfg.ProfileDir, "profile-dir", "", "directory for pprof captures on fast-burn SLO alerts (empty disables)")
 	flag.IntVar(&cfg.ProfileMax, "profile-max", 0, "retained fast-burn profile capture sets (0 = 8)")
-	flag.DurationVar(&cfg.ProfileCPU, "profile-cpu", 0, "CPU-profile window per fast-burn capture (0 = 5s)")
+	flag.DurationVar(&cfg.ProfileCPU, "profile-cpu", 0, "CPU-profile window per fast-burn capture (0 = 2s)")
 	flag.IntVar(&cfg.TenantMaxLabels, "tenant-labels", 0, "distinct tenant metric labels before new API keys fold into \"other\" (0 = 64)")
 	logFormat := flag.String("log-format", "text", "log encoding: "+strings.Join(obs.LogFormats(), "|"))
 	logLevel := flag.String("log-level", "info", "minimum log level: debug|info|warn|error")

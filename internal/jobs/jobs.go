@@ -548,9 +548,10 @@ func (m *Manager) dispatch() {
 }
 
 // execute runs one leader job's flight on the worker goroutine: state
-// transition, the jobs/exec fault point, the bounded pipeline call,
-// and result fan-out. A panic anywhere inside fails the flight instead
-// of killing the pool worker.
+// transition, the bounded pipeline call, and result fan-out. Exec
+// checks the jobs/exec fault point itself, under its own panic net; a
+// panic that still gets here fails the flight instead of killing the
+// pool worker.
 func (m *Manager) execute(j *Job) {
 	defer func() {
 		if v := recover(); v != nil {
@@ -568,12 +569,6 @@ func (m *Manager) execute(j *Job) {
 	}
 	m.executions++
 	m.mu.Unlock()
-	// Fault point "jobs/exec": a failure between dequeue and the
-	// pipeline call (a poisoned payload, a dead dependency).
-	if err := faults.Check(faults.PointJobsExec); err != nil {
-		m.finishFlight(j.Key, nil, false, err)
-		return
-	}
 	ctx, cancel := context.WithTimeout(context.Background(), m.cfg.Timeout)
 	defer cancel()
 	res, degraded, err := m.cfg.Exec(ctx, j.Payload)

@@ -637,15 +637,19 @@ func TestChaosFaultJobsStore(t *testing.T) {
 	}
 }
 
-// TestChaosFaultJobsExec: an armed jobs/exec fault fails the whole
-// flight — leader and coalesced followers — with the injected error.
+// TestChaosFaultJobsExec: an Exec that fails with an injected
+// jobs/exec fault fails the whole flight — leader and coalesced
+// followers — with the injected error.
 func TestChaosFaultJobsExec(t *testing.T) {
 	faults.Enable(faults.MustParse(faults.PointJobsExec + ":error"))
 	t.Cleanup(faults.Disable)
 	done := &doneCollector{}
 	m := New(Config{
 		Exec: func(ctx context.Context, payload any) (any, bool, error) {
-			t.Error("Exec ran despite armed jobs/exec fault")
+			if err := faults.Check(faults.PointJobsExec); err != nil {
+				return nil, false, err
+			}
+			t.Error("Exec ran on despite armed jobs/exec fault")
 			return nil, false, nil
 		},
 		PoolSubmit: asyncPool,
@@ -663,15 +667,18 @@ func TestChaosFaultJobsExec(t *testing.T) {
 	}
 }
 
-// TestChaosFaultJobsExecPanic: a panic action at jobs/exec is caught
-// by the execution's recovery net and becomes a failed flight, not a
-// dead worker.
+// TestChaosFaultJobsExecPanic: an Exec that panics (a panic action
+// at jobs/exec) is caught by the manager's recovery net and becomes a
+// failed flight, not a dead worker.
 func TestChaosFaultJobsExecPanic(t *testing.T) {
 	faults.Enable(faults.MustParse(faults.PointJobsExec + ":panic:times=1"))
 	t.Cleanup(faults.Disable)
 	done := &doneCollector{}
 	m := New(Config{
 		Exec: func(ctx context.Context, payload any) (any, bool, error) {
+			if err := faults.Check(faults.PointJobsExec); err != nil {
+				return nil, false, err
+			}
 			return "ok", false, nil
 		},
 		PoolSubmit: asyncPool,

@@ -48,6 +48,15 @@ type Codec interface {
 	DecodeResult(data []byte) (any, error)
 }
 
+// ErrorCodec is a Codec that also persists failures: a failure it
+// encodes (EncodeError returns nil for one it does not) replays as
+// what DecodeError restores, in place of the plain error its kind and
+// message give.
+type ErrorCodec interface {
+	EncodeError(err error) []byte
+	DecodeError(data []byte) error
+}
+
 // Durability enables WAL persistence for a Manager.
 type Durability struct {
 	// Dir is the data directory (required).
@@ -110,6 +119,7 @@ type walRecord struct {
 	Degraded    bool            `json:"degraded,omitempty"`
 	ErrKind     string          `json:"errKind,omitempty"`
 	ErrMsg      string          `json:"errMsg,omitempty"`
+	Error       json.RawMessage `json:"error,omitempty"` // ErrorCodec form of the failure
 	Payload     json.RawMessage `json:"payload,omitempty"`
 	Result      json.RawMessage `json:"result,omitempty"`
 }
@@ -146,6 +156,14 @@ func errKindOf(err error) (kind, msg string) {
 	default:
 		return errKindOther, err.Error()
 	}
+}
+
+// encodeErr is err's ErrorCodec form, or nil.
+func (m *Manager) encodeErr(err error) json.RawMessage {
+	if ec, ok := m.codec.(ErrorCodec); ok && err != nil {
+		return ec.EncodeError(err)
+	}
+	return nil
 }
 
 func errFromKind(kind, msg string) error {
@@ -243,12 +261,13 @@ func (m *Manager) logFinishLocked(key Key, done *Job, resRaw []byte) {
 		Degraded:   done.Degraded,
 		ErrKind:    kind,
 		ErrMsg:     msg,
+		Error:      m.encodeErr(done.Err),
 		Result:     resRaw,
 	})
 }
 
 // recordFromJob builds a snapshot entry carrying a job's full state.
-func recordFromJob(j *Job) walRecord {
+func (m *Manager) recordFromJob(j *Job) walRecord {
 	kind, msg := errKindOf(j.Err)
 	return walRecord{
 		Kind:        recJob,
@@ -265,6 +284,7 @@ func recordFromJob(j *Job) walRecord {
 		Degraded:    j.Degraded,
 		ErrKind:     kind,
 		ErrMsg:      msg,
+		Error:       m.encodeErr(j.Err),
 		Payload:     j.payloadRaw,
 		Result:      j.resultRaw,
 	}
@@ -335,6 +355,7 @@ func (st *replayState) apply(rec *walRecord) {
 			j.Degraded = rec.Degraded
 			j.ErrKind = rec.ErrKind
 			j.ErrMsg = rec.ErrMsg
+			j.Error = rec.Error
 			j.Result = rec.Result
 		}
 		delete(st.flights, k)
@@ -364,6 +385,12 @@ func (m *Manager) jobFromRecord(rec *walRecord, needPayload bool) (*Job, error) 
 		Err:        errFromKind(rec.ErrKind, rec.ErrMsg),
 		payloadRaw: rec.Payload,
 		resultRaw:  rec.Result,
+	}
+	// A failure the codec persisted comes back as the codec restores it.
+	if ec, ok := m.codec.(ErrorCodec); ok && len(rec.Error) > 0 {
+		if err := ec.DecodeError(rec.Error); err != nil {
+			j.Err = err
+		}
 	}
 	switch rec.State {
 	case StateRunning.String():
@@ -521,11 +548,11 @@ func (m *Manager) restore(st *replayState) {
 func (m *Manager) snapshotLocked() ([]byte, error) {
 	var snap walSnapshot
 	for _, j := range m.store.all() {
-		snap.Jobs = append(snap.Jobs, recordFromJob(j))
+		snap.Jobs = append(snap.Jobs, m.recordFromJob(j))
 	}
 	for _, fl := range m.flights {
 		for _, j := range fl.jobs {
-			snap.Jobs = append(snap.Jobs, recordFromJob(j))
+			snap.Jobs = append(snap.Jobs, m.recordFromJob(j))
 		}
 	}
 	return json.Marshal(&snap)

@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"sync"
-	"time"
-)
+import "time"
 
 // Record is one completed request as retained by the flight recorder:
 // enough to reconstruct what the service did for a given X-Request-ID
@@ -48,114 +45,15 @@ func (r *Record) Outcome() string {
 	}
 }
 
-// Recorder is an always-on post-mortem flight recorder: a bounded ring
-// of the most recent request records plus a second ring where
-// error/degraded requests are pinned, so a burst of healthy traffic
-// cannot flush the one request worth debugging. Commit is a single
-// mutex-guarded struct copy into a preallocated slot — no allocation,
-// no channel, cheap enough for the cached-result path.
-type Recorder struct {
-	mu     sync.Mutex
-	recent []Record // ring of all records
-	pinned []Record // ring of Interesting() records
-	rHead  int      // next recent slot
-	rLen   int
-	pHead  int // next pinned slot
-	pLen   int
-}
+// Recorder is the always-on post-mortem flight recorder behind
+// /debug/requests: a Ring of request records keyed by request ID that
+// pins every Interesting record.
+type Recorder struct{ *Ring[ID, Record] }
 
 // NewRecorder builds a recorder retaining the last size records (and
 // up to size pinned error/degraded records on top). size <= 0 selects
 // the default of 256.
-func NewRecorder(size int) *Recorder {
-	if size <= 0 {
-		size = 256
-	}
-	return &Recorder{
-		recent: make([]Record, size),
-		pinned: make([]Record, size),
-	}
-}
+func NewRecorder(size int) *Recorder { return &Recorder{NewRing[ID, Record](size)} }
 
-// Record retains rec, overwriting the oldest entry when the ring is
-// full. Interesting records are additionally copied into the pinned
-// ring. Nil-safe and allocation-free.
-func (r *Recorder) Record(rec *Record) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.recent[r.rHead] = *rec
-	r.rHead = (r.rHead + 1) % len(r.recent)
-	if r.rLen < len(r.recent) {
-		r.rLen++
-	}
-	if rec.Interesting() {
-		r.pinned[r.pHead] = *rec
-		r.pHead = (r.pHead + 1) % len(r.pinned)
-		if r.pLen < len(r.pinned) {
-			r.pLen++
-		}
-	}
-	r.mu.Unlock()
-}
-
-// Lookup returns the record with the given ID. Both rings are scanned
-// newest-first; the pinned ring first, since an error record may have
-// already been flushed from the recent ring.
-func (r *Recorder) Lookup(id ID) (Record, bool) {
-	if r == nil {
-		return Record{}, false
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if rec, ok := scanRing(r.pinned, r.pHead, r.pLen, id); ok {
-		return rec, true
-	}
-	return scanRing(r.recent, r.rHead, r.rLen, id)
-}
-
-func scanRing(ring []Record, head, n int, id ID) (Record, bool) {
-	for i := 1; i <= n; i++ {
-		idx := (head - i + len(ring)) % len(ring)
-		if ring[idx].ID == id {
-			return ring[idx], true
-		}
-	}
-	return Record{}, false
-}
-
-// Snapshot returns up to max records newest-first, the union of both
-// rings with pinned-ring duplicates removed. max <= 0 means all.
-func (r *Recorder) Snapshot(max int) []Record {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	seen := make(map[ID]bool, r.rLen+r.pLen)
-	out := make([]Record, 0, r.rLen+r.pLen)
-	collect := func(ring []Record, head, n int) {
-		for i := 1; i <= n; i++ {
-			idx := (head - i + len(ring)) % len(ring)
-			if seen[ring[idx].ID] {
-				continue
-			}
-			seen[ring[idx].ID] = true
-			out = append(out, ring[idx])
-		}
-	}
-	// Recent first so listings lead with the newest traffic; the pinned
-	// ring then contributes only records already flushed from recent.
-	collect(r.recent, r.rHead, r.rLen)
-	collect(r.pinned, r.pHead, r.pLen)
-	if max > 0 && len(out) > max {
-		out = out[:max]
-	}
-	return out
-}
-
-// Len reports how many distinct records the recorder currently holds.
-func (r *Recorder) Len() int {
-	return len(r.Snapshot(0))
-}
+// Record retains rec, pinning it when it is Interesting. Allocation-free.
+func (r *Recorder) Record(rec *Record) { r.Add(rec.ID, rec.Interesting(), rec) }

@@ -63,7 +63,7 @@ func TestRecorderSnapshotNewestFirstNoDup(t *testing.T) {
 		}
 		r.Record(&Record{ID: id, Status: st, Time: time.Unix(int64(i), 0)})
 	}
-	snap := r.Snapshot(0)
+	snap := r.Snapshot(0, nil)
 	seen := map[ID]int{}
 	for _, rec := range snap {
 		seen[rec.ID]++
@@ -83,7 +83,7 @@ func TestRecorderSnapshotNewestFirstNoDup(t *testing.T) {
 	if _, ok := seen[ids[1]]; !ok {
 		t.Fatal("pinned record missing from snapshot")
 	}
-	if got := r.Snapshot(2); len(got) != 2 || got[0].ID != ids[5] {
+	if got := r.Snapshot(2, nil); len(got) != 2 || got[0].ID != ids[5] {
 		t.Fatalf("Snapshot(2) = %d records", len(got))
 	}
 	if r.Len() != 5 {
@@ -113,12 +113,12 @@ func TestRecorderOutcome(t *testing.T) {
 }
 
 func TestRecorderNilSafe(t *testing.T) {
-	var r *Recorder
-	r.Record(&Record{})
+	var r *Ring[ID, Record]
+	r.Add(ID{}, true, &Record{})
 	if _, ok := r.Lookup(ID{}); ok {
 		t.Fatal("nil recorder lookup succeeded")
 	}
-	if r.Snapshot(0) != nil {
+	if r.Snapshot(0, nil) != nil {
 		t.Fatal("nil recorder snapshot non-nil")
 	}
 }

@@ -119,10 +119,9 @@ const (
 	LockSLOEngine        = "slo.Engine.mu"         // burn-rate engine windows
 	LockSLOProfileRing   = "slo.ProfileRing.mu"    // on-disk pprof capture ring
 	LockTraceTrace       = "trace.Trace.mu"        // per-request stage trace accumulation
-	LockTraceSpanStore   = "trace.SpanStore.mu"    // trace flight-recorder dual ring
 	LockTraceRecording   = "trace.Recording.mu"    // per-request span recording
 	LockObsScopeFault    = "obs.Scope.faultMu"     // request-scope fault annotations
-	LockObsRecorder      = "obs.Recorder.mu"       // request flight-recorder dual ring
+	LockObsRing          = "obs.Ring.mu"           // flight-recorder dual ring (requests and traces)
 	LockObsQuantiles     = "obs.Quantiles.mu"      // P2 streaming quantile estimator
 )
 
@@ -141,10 +140,9 @@ func LockOrder() []string {
 		LockSLOEngine,
 		LockSLOProfileRing,
 		LockTraceTrace,
-		LockTraceSpanStore,
 		LockTraceRecording,
 		LockObsScopeFault,
-		LockObsRecorder,
+		LockObsRing,
 		LockObsQuantiles,
 	}
 }

@@ -84,21 +84,13 @@ func (s *Server) handleRequestList(w http.ResponseWriter, r *http.Request) {
 		limit, _ = strconv.Atoi(v)
 	}
 	outcome, tenant := q.Get("outcome"), q.Get("tenant")
-	// Filter over the full snapshot, then cut: limit bounds the
-	// matches returned, not the records scanned.
-	recs := s.recorder.Snapshot(0)
-	out := make([]RequestRecord, 0, len(recs))
-	for _, rec := range recs {
-		if outcome != "" && rec.Outcome() != outcome {
-			continue
-		}
-		if tenant != "" && rec.Tenant != tenant {
-			continue
-		}
-		out = append(out, toRequestRecord(rec, false))
-		if limit > 0 && len(out) >= limit {
-			break
-		}
+	// limit bounds the matches returned, not the records scanned.
+	recs := s.recorder.Snapshot(limit, func(rec *obs.Record) bool {
+		return (outcome == "" || rec.Outcome() == outcome) && (tenant == "" || rec.Tenant == tenant)
+	})
+	out := make([]RequestRecord, len(recs))
+	for i, rec := range recs {
+		out[i] = toRequestRecord(rec, false)
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"requests": out})
 }
@@ -204,7 +196,7 @@ func (s *Server) handleTraceList(w http.ResponseWriter, r *http.Request) {
 		}
 		f.MinDuration = time.Duration(ms * float64(time.Millisecond))
 	}
-	recs := s.spans.Snapshot(f)
+	recs := s.spans.Snapshot(f.Limit, f.Match)
 	out := make([]TraceEntry, len(recs))
 	for i, rec := range recs {
 		out[i] = toTraceEntry(rec, false)

@@ -2,12 +2,14 @@
 // results cross a process restart. Payloads persist the validated
 // request (series + wire options + details flag) and recompute the
 // cache fingerprint on decode. Results persist the answer itself —
-// the same value the result cache and the status handler hold — so a
-// job restored after a restart is indistinguishable from a live one.
+// the same value the result cache and the status handler hold — and
+// failures their wire error, so a job restored after a restart is
+// indistinguishable from a live one.
 package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 )
 
@@ -62,4 +64,23 @@ func (walCodec) DecodeResult(data []byte) (any, error) {
 		return nil, fmt.Errorf("serve: decode persisted result: %w", err)
 	}
 	return &a, nil
+}
+
+// EncodeError persists the wire error execJob fails a job with; any
+// other failure (a drain, a restart) replays from its kind.
+func (walCodec) EncodeError(err error) []byte {
+	var apiErr *APIError
+	if !errors.As(err, &apiErr) {
+		return nil
+	}
+	b, _ := json.Marshal(apiErr)
+	return b
+}
+
+func (walCodec) DecodeError(data []byte) error {
+	var apiErr APIError
+	if json.Unmarshal(data, &apiErr) != nil || apiErr.Code == "" {
+		return nil
+	}
+	return &apiErr
 }

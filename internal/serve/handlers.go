@@ -60,11 +60,11 @@ func (o *APIOptions) fillMissing() bool { return o != nil && o.FillMissing }
 
 // toOptions converts the wire options to library options. A nil
 // receiver yields the defaults.
-func (o *APIOptions) toOptions() (*robustperiod.Options, error) {
+func (o *APIOptions) toOptions() (robustperiod.Options, error) {
 	if o == nil {
-		return nil, nil
+		return robustperiod.Options{}, nil
 	}
-	opts := &robustperiod.Options{
+	opts := robustperiod.Options{
 		Lambda:           o.Lambda,
 		ClipC:            o.ClipC,
 		MaxLevels:        o.MaxLevels,
@@ -80,7 +80,7 @@ func (o *APIOptions) toOptions() (*robustperiod.Options, error) {
 	if o.Wavelet != "" {
 		k, err := robustperiod.ParseWavelet(o.Wavelet)
 		if err != nil {
-			return nil, err
+			return opts, err
 		}
 		opts.Wavelet = k
 	}
@@ -282,6 +282,51 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	return true
 }
 
+// fail writes an error response and notes its code on the request
+// scope, which instrument sets on every compute endpoint.
+func fail(w http.ResponseWriter, scope *obs.Scope, status int, apiErr *APIError) {
+	scope.ErrorCode = apiErr.Code
+	writeJSON(w, status, map[string]*APIError{"error": apiErr})
+}
+
+// decodeDetect reads the body of POST /v1/detect or /v1/jobs, notes
+// its shape on the request scope and checks the series and the
+// options, returning them converted. It returns false after writing
+// the error response itself.
+func (s *Server) decodeDetect(w http.ResponseWriter, r *http.Request, scope *obs.Scope) (*DetectRequest, robustperiod.Options, bool) {
+	var req DetectRequest
+	if !decodeBody(w, r, &req) {
+		scope.ErrorCode = "bad_request"
+		return nil, robustperiod.Options{}, false
+	}
+	scope.SeriesLen = len(req.Series)
+	scope.OptionsDigest = req.Options.digest()
+	if apiErr := validateSeries(req.Series, s.cfg.MaxSeriesLen, req.Options.fillMissing()); apiErr != nil {
+		fail(w, scope, http.StatusBadRequest, apiErr)
+		return nil, robustperiod.Options{}, false
+	}
+	opts, err := req.Options.toOptions()
+	if err != nil {
+		fail(w, scope, http.StatusBadRequest, &APIError{Code: "bad_options", Message: err.Error()})
+		return nil, opts, false
+	}
+	return &req, opts, true
+}
+
+// shed turns a sync compute request away with 429 when admission
+// control refuses it, and reports whether it did.
+func (s *Server) shed(w http.ResponseWriter, scope *obs.Scope, ep string) bool {
+	retry, ok := s.admit()
+	if ok {
+		return false
+	}
+	s.metrics.shed.Add(ep, 1)
+	w.Header().Set("Retry-After", strconv.Itoa(retry))
+	fail(w, scope, http.StatusTooManyRequests, &APIError{Code: "overloaded",
+		Message: fmt.Sprintf("worker queue is full; retry after %d s", retry)})
+	return true
+}
+
 // validateSeries rejects series the detector cannot accept, before
 // any CPU is spent: empty input, non-finite values (unrepresentable
 // in strict JSON, but reachable through other encodings), and
@@ -327,111 +372,118 @@ func validateSeries(series []float64, maxLen int, allowNaN bool) *APIError {
 	return nil
 }
 
-// detOut is a worker's answer to one detection job, with the stage
-// trace of the run that produced it.
+// detection is one series to run on a pool worker.
+type detection struct {
+	series []float64
+	opts   robustperiod.Options // execute attaches a fresh stage trace
+	key    cacheKey
+	cache  bool      // fill the result cache under key
+	async  bool      // an async job: the jobs/exec fault point and the cache lookup run in execute
+	queued time.Time // handed to the pool (sync only): the queue_wait span's start
+}
+
+// detOut is execute's answer to one detection, with the stage trace
+// of the run that produced it (nil on a cache hit).
 type detOut struct {
 	ans *answer
 	tr  *robustperiod.TraceSummary
 	err error
 }
 
-// runDetection serves one series: cache lookup, then a pool-bounded
-// DetectDetailsContext, then cache fill. It reports whether the
-// answer came from the cache. Every computed (non-cached) detection
-// runs with a stage trace attached — the per-stage wall times feed
-// the stage_latency_ms histograms, and ?debug=1 responses and the
-// flight recorder carry the summary, which is returned beside the
-// answer and never cached: a cache hit has no trace. bypassCache
-// skips both cache read and fill, so a debug request always reports
-// timings of an actual run, never a memoized result.
-func (s *Server) runDetection(ctx context.Context, series []float64, apiOpts *APIOptions, bypassCache bool) (*answer, *robustperiod.TraceSummary, bool, error) {
-	opts, err := apiOpts.toOptions()
-	if err != nil {
-		return nil, nil, false, &APIError{Code: "bad_options", Message: err.Error()}
-	}
-	var key cacheKey
-	if !bypassCache {
-		key = requestKey(series, apiOpts.canonicalTag())
-		if a, ok := s.cache.get(key); ok {
+// runDetection serves one series of a sync detect or batch: the cache
+// lookup here, on the handler goroutine, so that a hit never waits in
+// the worker queue, then execute on a pool worker. It reports whether
+// the answer came from the cache. bypassCache skips both cache read
+// and fill, so a debug request always reports timings of an actual
+// run, never a memoized result.
+func (s *Server) runDetection(ctx context.Context, series []float64, apiOpts *APIOptions, opts robustperiod.Options, bypassCache bool) (*answer, *robustperiod.TraceSummary, bool, error) {
+	d := &detection{series: series, opts: opts, cache: !bypassCache}
+	if d.cache {
+		d.key = requestKey(series, apiOpts.canonicalTag())
+		if a, ok := s.cache.get(d.key); ok {
 			s.metrics.cacheHits.Add(1)
 			return a, nil, true, nil
 		}
 		s.metrics.cacheMisses.Add(1)
 	}
-	if opts == nil {
-		opts = &robustperiod.Options{}
+	out := make(chan detOut, 1)
+	d.queued = time.Now()
+	if err := s.pool.submit(ctx, func() { out <- s.execute(ctx, d) }); err != nil {
+		return nil, nil, false, err
 	}
-	opts.Trace = robustperiod.NewTrace()
-	// When the request is sampled, attach its span recording to the
-	// stage trace — every pipeline stage timer then also emits a span,
-	// with zero changes at the core/spectrum call sites — and time the
-	// queue wait and the execution as spans of their own.
+	o := <-out
+	return o.ans, o.tr, false, o.err
+}
+
+// execute runs one detection on a pool worker, for sync detects, batch
+// items and async jobs alike. Under one panic net — a panic must not
+// kill the worker goroutine, which would shrink the pool for good — it
+// checks the path's fault point, runs the traced pipeline and builds
+// the answer, then updates the service-time EWMA, the degraded and
+// stage counters and the cache. Every computed detection carries a
+// stage trace: the per-stage wall times feed the stage_latency_ms
+// histograms, and debug responses and the flight recorder carry the
+// summary, which is returned beside the answer and never cached. A
+// sampled request's span recording is attached to that trace, so
+// every pipeline stage also emits a span, and the queue wait and the
+// execution are spans of their own.
+func (s *Server) execute(ctx context.Context, d *detection) (o detOut) {
+	defer func() {
+		if v := recover(); v != nil {
+			s.metrics.panicsRecovered.Add(1)
+			o = detOut{err: &workerPanicError{val: v}}
+		}
+	}()
 	var spanRec *trace.Recording
 	var rootID trace.SpanID
 	if scope := obs.FromContext(ctx); scope != nil {
 		if rec, ok := scope.Spans.(*trace.Recording); ok && rec != nil {
-			spanRec = rec
-			rootID = rec.Context().SpanID
-			opts.Trace.AttachSpans(rec, rootID)
+			spanRec, rootID = rec, rec.Context().SpanID
+			spanRec.AddSpan(registry.SpanQueueWait, rootID, d.queued, time.Since(d.queued))
 		}
 	}
-	var submitted time.Time
+	// Fault points "serve/worker" and "jobs/exec": a failure between
+	// dequeue and the pipeline call (a poisoned job, a dead
+	// dependency). An async job checks its own before its cache
+	// lookup, so a delay holds even a cached job's flight open.
+	if d.async {
+		if err := faults.Check(faults.PointJobsExec); err != nil {
+			return detOut{err: err}
+		}
+		if a, ok := s.cache.get(d.key); ok {
+			s.metrics.cacheHits.Add(1)
+			return detOut{ans: a}
+		}
+		s.metrics.cacheMisses.Add(1)
+	} else if err := faults.Check(faults.PointServeWorker); err != nil {
+		obs.FromContext(ctx).AddFault(faults.PointServeWorker)
+		return detOut{err: err}
+	}
+	opts := d.opts
+	opts.Trace = robustperiod.NewTrace()
+	exTrace := "" // exemplar trace ID on the stage histograms, sampled requests only
 	if spanRec != nil {
-		submitted = time.Now()
-	}
-
-	out := make(chan detOut, 1)
-	job := func() {
-		if spanRec != nil {
-			spanRec.AddSpan(registry.SpanQueueWait, rootID, submitted, time.Since(submitted))
-		}
-		// A panic inside the detection must not kill the worker
-		// goroutine — that would permanently shrink the pool. It is
-		// converted to an error the handler maps to a structured 500.
-		defer func() {
-			if v := recover(); v != nil {
-				s.metrics.panicsRecovered.Add(1)
-				out <- detOut{err: &workerPanicError{val: v}}
-			}
-		}()
-		// Fault point "serve/worker": a failure between dequeue and
-		// the library call (a poisoned job, a dead dependency).
-		if err := faults.Check(faults.PointServeWorker); err != nil {
-			obs.FromContext(ctx).AddFault(faults.PointServeWorker)
-			out <- detOut{err: err}
-			return
-		}
-		jobStart := time.Now()
-		res, err := robustperiod.DetectDetailsContext(ctx, series, opts)
-		if spanRec != nil {
-			spanRec.AddSpan(registry.SpanJobExec, rootID, jobStart, time.Since(jobStart))
-		}
-		if err != nil {
-			out <- detOut{err: err}
-			return
-		}
-		s.observeJobTime(time.Since(jobStart))
-		out <- detOut{ans: newAnswer(res), tr: res.Trace}
-	}
-	if err := s.pool.submit(ctx, job); err != nil {
-		return nil, nil, false, err
-	}
-	o := <-out
-	if o.err != nil {
-		return nil, nil, false, o.err
-	}
-	if len(o.ans.Degraded) > 0 {
-		s.metrics.degradedTotal.Add(1)
-	}
-	exTrace := ""
-	if spanRec != nil {
+		opts.Trace.AttachSpans(spanRec, rootID)
 		exTrace = spanRec.Context().TraceIDString()
 	}
-	s.metrics.observeStages(o.tr, exTrace)
-	if !bypassCache {
-		s.cache.add(key, o.ans)
+	start := time.Now()
+	res, err := robustperiod.DetectDetailsContext(ctx, d.series, &opts)
+	if spanRec != nil {
+		spanRec.AddSpan(registry.SpanJobExec, rootID, start, time.Since(start))
 	}
-	return o.ans, o.tr, false, nil
+	if err != nil {
+		return detOut{err: err}
+	}
+	s.observeJobTime(time.Since(start))
+	a := newAnswer(res)
+	if len(a.Degraded) > 0 {
+		s.metrics.degradedTotal.Add(1)
+	}
+	s.metrics.observeStages(res.Trace, exTrace)
+	if d.cache {
+		s.cache.add(d.key, a)
+	}
+	return detOut{ans: a, tr: res.Trace}
 }
 
 // workerPanicError wraps a panic recovered inside a detection worker.
@@ -535,32 +587,8 @@ func (a *answer) response(details bool) *DetectResponse {
 func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	scope := obs.FromContext(r.Context())
-	var req DetectRequest
-	if !decodeBody(w, r, &req) {
-		if scope != nil {
-			scope.ErrorCode = "bad_request"
-		}
-		return
-	}
-	if scope != nil {
-		scope.SeriesLen = len(req.Series)
-		scope.OptionsDigest = req.Options.digest()
-	}
-	if apiErr := validateSeries(req.Series, s.cfg.MaxSeriesLen, req.Options.fillMissing()); apiErr != nil {
-		if scope != nil {
-			scope.ErrorCode = apiErr.Code
-		}
-		writeJSON(w, http.StatusBadRequest, map[string]*APIError{"error": apiErr})
-		return
-	}
-	if retry, ok := s.admit(); !ok {
-		s.metrics.shed.Add(epDetect, 1)
-		if scope != nil {
-			scope.ErrorCode = "overloaded"
-		}
-		w.Header().Set("Retry-After", strconv.Itoa(retry))
-		writeError(w, http.StatusTooManyRequests, "overloaded",
-			"worker queue is full; retry after %d s", retry)
+	req, opts, ok := s.decodeDetect(w, r, scope)
+	if !ok || s.shed(w, scope, epDetect) {
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
@@ -570,24 +598,19 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 	// request bypasses the result cache so the timings describe a real
 	// run of this exact request.
 	debug := r.URL.Query().Get("debug") == "1"
-	a, tr, cached, err := s.runDetection(ctx, req.Series, req.Options, debug)
+	a, tr, cached, err := s.runDetection(ctx, req.Series, req.Options, opts, debug)
 	if err != nil {
 		status, apiErr := toAPIError(err)
-		if scope != nil {
-			scope.ErrorCode = apiErr.Code
-		}
-		writeJSON(w, status, map[string]*APIError{"error": apiErr})
+		fail(w, scope, status, apiErr)
 		return
 	}
-	if scope != nil {
-		scope.Cached = cached
-		scope.DegradedCount = len(a.Degraded)
-		if len(a.Degraded) > 0 {
-			scope.Degraded = a.Degraded
-		}
-		if tr != nil {
-			scope.Trace = tr
-		}
+	scope.Cached = cached
+	scope.DegradedCount = len(a.Degraded)
+	if len(a.Degraded) > 0 {
+		scope.Degraded = a.Degraded
+	}
+	if tr != nil {
+		scope.Trace = tr
 	}
 	resp := a.response(req.Details)
 	resp.Cached = cached
@@ -607,45 +630,31 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	scope := obs.FromContext(r.Context())
 	var req BatchRequest
 	if !decodeBody(w, r, &req) {
-		if scope != nil {
-			scope.ErrorCode = "bad_request"
-		}
+		scope.ErrorCode = "bad_request"
 		return
 	}
-	if scope != nil {
-		scope.BatchSize = len(req.Series)
-		scope.OptionsDigest = req.Options.digest()
-	}
+	scope.BatchSize = len(req.Series)
+	scope.OptionsDigest = req.Options.digest()
 	if len(req.Series) == 0 {
-		if scope != nil {
-			scope.ErrorCode = "empty_batch"
-		}
-		writeError(w, http.StatusBadRequest, "empty_batch", "batch must contain at least one series")
+		fail(w, scope, http.StatusBadRequest, &APIError{Code: "empty_batch",
+			Message: "batch must contain at least one series"})
 		return
 	}
 	if s.cfg.MaxBatch > 0 && len(req.Series) > s.cfg.MaxBatch {
-		if scope != nil {
-			scope.ErrorCode = "batch_too_large"
-		}
-		writeError(w, http.StatusBadRequest, "batch_too_large",
-			"batch has %d series, limit is %d", len(req.Series), s.cfg.MaxBatch)
+		fail(w, scope, http.StatusBadRequest, &APIError{Code: "batch_too_large",
+			Message: fmt.Sprintf("batch has %d series, limit is %d", len(req.Series), s.cfg.MaxBatch)})
 		return
 	}
 	// One admission decision covers the whole batch: a half-accepted
 	// batch is worse than a shed one (the client must retry anyway).
-	if retry, ok := s.admit(); !ok {
-		s.metrics.shed.Add(epBatch, 1)
-		if scope != nil {
-			scope.ErrorCode = "overloaded"
-		}
-		w.Header().Set("Retry-After", strconv.Itoa(retry))
-		writeError(w, http.StatusTooManyRequests, "overloaded",
-			"worker queue is full; retry after %d s", retry)
+	if s.shed(w, scope, epBatch) {
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
 
+	// Bad options fail every item that passes its series check.
+	opts, optsErr := req.Options.toOptions()
 	items := make([]BatchItem, len(req.Series))
 	var wg sync.WaitGroup
 	for i, series := range req.Series {
@@ -655,11 +664,15 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			items[i].Error = apiErr
 			continue
 		}
+		if optsErr != nil {
+			items[i].Error = &APIError{Code: "bad_options", Message: optsErr.Error()}
+			continue
+		}
 		wg.Add(1)
 		i, series := i, series
 		go func() {
 			defer wg.Done()
-			a, _, cached, err := s.runDetection(ctx, series, req.Options, false)
+			a, _, cached, err := s.runDetection(ctx, series, req.Options, opts, false)
 			if err != nil {
 				_, items[i].Error = toAPIError(err)
 				return
@@ -670,18 +683,16 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}()
 	}
 	wg.Wait()
-	if scope != nil {
-		var degraded []robustperiod.Degradation
-		for i := range items {
-			if items[i].Error != nil {
-				scope.ItemErrors++
-			}
-			scope.DegradedCount += len(items[i].Degraded)
-			degraded = append(degraded, items[i].Degraded...)
+	var degraded []robustperiod.Degradation
+	for i := range items {
+		if items[i].Error != nil {
+			scope.ItemErrors++
 		}
-		if len(degraded) > 0 {
-			scope.Degraded = degraded
-		}
+		scope.DegradedCount += len(items[i].Degraded)
+		degraded = append(degraded, items[i].Degraded...)
+	}
+	if len(degraded) > 0 {
+		scope.Degraded = degraded
 	}
 	writeJSON(w, http.StatusOK, BatchResponse{
 		Results:   items,

@@ -18,7 +18,6 @@ import (
 	"strconv"
 	"time"
 
-	"robustperiod"
 	"robustperiod/internal/jobs"
 	"robustperiod/internal/obs"
 )
@@ -31,7 +30,8 @@ const TenantHeader = "X-API-Key"
 const defaultTenant = "default"
 
 // jobPayload is what a submission hands the async executor: the
-// validated request plus its precomputed cache key.
+// validated request plus its precomputed cache key. The job store
+// retains it, so it keeps the wire options, not the converted ones.
 type jobPayload struct {
 	series  []float64
 	apiOpts *APIOptions
@@ -60,43 +60,26 @@ type JobStatusResponse struct {
 }
 
 // execJob is the jobs.Manager's pipeline entry point, running on a
-// worker-pool goroutine: cache lookup, then a traced detection, then
-// cache fill — the async twin of runDetection without the pool round
-// trip (the dispatcher already placed us on a worker). The job's
-// result is the answer, as in the cache.
+// worker-pool goroutine (the dispatcher already placed it there): it
+// checks the payload and hands it to execute, which also looks up the
+// result cache. A failure leaves as its wire error, so that the WAL
+// keeps the code across a restart. The job's result is the answer, as
+// in the cache.
 func (s *Server) execJob(ctx context.Context, payload any) (any, bool, error) {
 	jp, ok := payload.(*jobPayload)
 	if !ok {
 		return nil, false, errors.New("serve: malformed async job payload")
 	}
-	if a, ok := s.cache.get(jp.key); ok {
-		s.metrics.cacheHits.Add(1)
-		return a, len(a.Degraded) > 0, nil
-	}
-	s.metrics.cacheMisses.Add(1)
 	opts, err := jp.apiOpts.toOptions()
 	if err != nil {
 		return nil, false, &APIError{Code: "bad_options", Message: err.Error()}
 	}
-	if opts == nil {
-		opts = &robustperiod.Options{}
+	o := s.execute(ctx, &detection{series: jp.series, opts: opts, key: jp.key, cache: true, async: true})
+	if o.err != nil {
+		_, apiErr := toAPIError(o.err)
+		return nil, false, apiErr
 	}
-	opts.Trace = robustperiod.NewTrace()
-	start := time.Now()
-	res, err := robustperiod.DetectDetailsContext(ctx, jp.series, opts)
-	if err != nil {
-		return nil, false, err
-	}
-	s.observeJobTime(time.Since(start))
-	a := newAnswer(res)
-	if len(a.Degraded) > 0 {
-		s.metrics.degradedTotal.Add(1)
-	}
-	// Async executions run after their submitting request finished, so
-	// there is no live span recording to pin exemplars from.
-	s.metrics.observeStages(res.Trace, "")
-	s.cache.add(jp.key, a)
-	return a, len(a.Degraded) > 0, nil
+	return o.ans, len(o.ans.Degraded) > 0, nil
 }
 
 // onJobDone feeds terminal jobs into the submit-to-completion latency
@@ -115,29 +98,8 @@ func jobKey(k cacheKey) jobs.Key { return jobs.Key{H1: k.h1, H2: k.h2, N: k.n} }
 // then enqueue instead of compute and answer 202 with the job ID.
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	scope := obs.FromContext(r.Context())
-	var req DetectRequest
-	if !decodeBody(w, r, &req) {
-		if scope != nil {
-			scope.ErrorCode = "bad_request"
-		}
-		return
-	}
-	if scope != nil {
-		scope.SeriesLen = len(req.Series)
-		scope.OptionsDigest = req.Options.digest()
-	}
-	if apiErr := validateSeries(req.Series, s.cfg.MaxSeriesLen, req.Options.fillMissing()); apiErr != nil {
-		if scope != nil {
-			scope.ErrorCode = apiErr.Code
-		}
-		writeJSON(w, http.StatusBadRequest, map[string]*APIError{"error": apiErr})
-		return
-	}
-	if _, err := req.Options.toOptions(); err != nil {
-		if scope != nil {
-			scope.ErrorCode = "bad_options"
-		}
-		writeError(w, http.StatusBadRequest, "bad_options", "%v", err)
+	req, _, ok := s.decodeDetect(w, r, scope)
+	if !ok {
 		return
 	}
 	tenant := r.Header.Get(TenantHeader)
@@ -149,14 +111,11 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	j, err := s.jobs.Submit(r.Context(), tenant, jobKey(key), len(req.Series), payload)
 	if err != nil {
 		status, apiErr := toJobSubmitError(err)
-		if scope != nil {
-			scope.ErrorCode = apiErr.Code
-		}
 		if status == http.StatusTooManyRequests {
 			s.metrics.shed.Add(epJobs, 1)
 			w.Header().Set("Retry-After", strconv.Itoa(s.jobRetrySeconds()))
 		}
-		writeJSON(w, status, map[string]*APIError{"error": apiErr})
+		fail(w, scope, status, apiErr)
 		return
 	}
 	id := j.ID.String()
@@ -196,14 +155,7 @@ func (s *Server) jobRetrySeconds() int {
 		backlog := s.jobs.QueueDepth() + s.pool.depth()
 		wait = time.Duration(float64(backlog+1) * avg / float64(s.pool.workers))
 	}
-	secs := int((wait + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	if secs > 30 {
-		secs = 30
-	}
-	return secs
+	return retrySeconds(wait, 30)
 }
 
 // handleJobStatus serves GET /v1/jobs/{id}. Deliberately not gated by

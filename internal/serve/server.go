@@ -214,7 +214,7 @@ type Server struct {
 	// Span tracing: the trace flight recorder behind /debug/traces,
 	// the head-sampling counter, and the tenant-label cap shared by
 	// metrics and recorders.
-	spans    *trace.SpanStore
+	spans    *obs.Ring[[16]byte, trace.TraceRecord]
 	traceCtr atomic.Uint64
 	tenants  *tenantCounts
 
@@ -249,7 +249,7 @@ func New(cfg Config) (*Server, error) {
 		logger:   cfg.Logger,
 		recorder: obs.NewRecorder(cfg.RecorderSize),
 		jobLatQ:  obs.NewQuantiles(),
-		spans:    trace.NewSpanStore(cfg.TraceStoreSize),
+		spans:    obs.NewRing[[16]byte, trace.TraceRecord](cfg.TraceStoreSize),
 		tenants:  newTenantCounts(cfg.TenantMaxLabels),
 	}
 	if cfg.ProfileDir != "" {
@@ -528,18 +528,16 @@ func (s *Server) instrument(ep string, h http.HandlerFunc) http.Handler {
 
 			if s.draining.Load() {
 				s.metrics.shed.Add(ep, 1)
-				scope.ErrorCode = "shutting_down"
-				writeError(rec, http.StatusServiceUnavailable, "shutting_down",
-					"server is draining; retry against another instance")
+				fail(rec, scope, http.StatusServiceUnavailable, &APIError{Code: "shutting_down",
+					Message: "server is draining; retry against another instance"})
 				return
 			}
 			br := s.breakers[ep]
 			if !br.allow() {
 				s.metrics.shed.Add(ep, 1)
-				scope.ErrorCode = "breaker_open"
 				rec.Header().Set("Retry-After", strconv.Itoa(br.retryAfter()))
-				writeError(rec, http.StatusServiceUnavailable, "breaker_open",
-					"endpoint suspended after repeated internal failures")
+				fail(rec, scope, http.StatusServiceUnavailable, &APIError{Code: "breaker_open",
+					Message: "endpoint suspended after repeated internal failures"})
 				return
 			}
 			defer func() {
@@ -561,9 +559,7 @@ func (s *Server) instrument(ep string, h http.HandlerFunc) http.Handler {
 			// the HTTP layer itself (before any detection work).
 			if err := faults.Check(faults.PointServeHandler); err != nil {
 				scope.AddFault(faults.PointServeHandler)
-				scope.ErrorCode = "internal_error"
-				writeError(rec, http.StatusInternalServerError, "internal_error",
-					"%v", err)
+				fail(rec, scope, http.StatusInternalServerError, &APIError{Code: "internal_error", Message: err.Error()})
 				return
 			}
 		}
@@ -614,7 +610,7 @@ func (s *Server) finishRequest(scope *obs.Scope, spanRec *trace.Recording, remot
 			Spans:    spanRec.Spans(),
 			Dropped:  spanRec.Dropped(),
 		}
-		s.spans.Add(&tr)
+		s.spans.Add(tr.TraceID, tr.Interesting(), &tr)
 		s.metrics.traceSpans.Add(int64(len(tr.Spans)))
 	}
 	if s.logger == nil {
@@ -697,14 +693,13 @@ func (s *Server) admit() (retryAfter int, ok bool) {
 	if wait <= s.cfg.RequestTimeout {
 		return 0, true
 	}
-	secs := int((wait - s.cfg.RequestTimeout + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	if secs > 60 {
-		secs = 60
-	}
-	return secs, false
+	return retrySeconds(wait-s.cfg.RequestTimeout, 60), false
+}
+
+// retrySeconds rounds a wait up to whole seconds for a Retry-After
+// header, clamped to [1, most].
+func retrySeconds(wait time.Duration, most int) int {
+	return min(max(int((wait+time.Second-1)/time.Second), 1), most)
 }
 
 // Run listens on cfg.Addr and serves until ctx is cancelled (e.g. by

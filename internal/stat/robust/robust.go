@@ -120,12 +120,8 @@ func partition(x []float64, lo, hi int) int {
 // without the Gaussian consistency constant. Use MADN for the
 // normal-consistent version.
 func MAD(x []float64) float64 {
-	m := Median(x)
-	dev := make([]float64, len(x))
-	for i, v := range x {
-		dev[i] = math.Abs(v - m)
-	}
-	return MedianInPlace(dev)
+	_, mad := MedianAndMAD(x)
+	return mad
 }
 
 // MADConsistency is the constant that makes MAD a consistent estimator

@@ -136,7 +136,7 @@ func TestMedianAndMADAgree(t *testing.T) {
 			x[i] = rng.NormFloat64()
 		}
 		med, mad := MedianAndMAD(x)
-		if !almostEq(med, Median(x), 1e-12) || !almostEq(mad, MAD(x), 1e-12) {
+		if !almostEq(med, Median(x), 1e-12) || math.Float64bits(mad) != math.Float64bits(MAD(x)) {
 			t.Fatalf("MedianAndMAD disagrees with Median/MAD")
 		}
 	}

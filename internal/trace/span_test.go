@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"robustperiod/internal/obs"
 	"robustperiod/internal/registry"
 )
 
@@ -174,7 +175,7 @@ func TestSampledOutSpanPathAllocatesNothing(t *testing.T) {
 // TestSpanStoreFiltersAndPinning drills the trace flight recorder:
 // ring overflow, error pinning, lookup, and every listing filter.
 func TestSpanStoreFiltersAndPinning(t *testing.T) {
-	store := NewSpanStore(4)
+	store := obs.NewRing[[16]byte, TraceRecord](4)
 	mk := func(i byte, outcome, tenant string, d time.Duration) TraceRecord {
 		var id [16]byte
 		id[0] = i
@@ -185,10 +186,10 @@ func TestSpanStoreFiltersAndPinning(t *testing.T) {
 		}
 	}
 	errRec := mk(1, "error", "acme", 50*time.Millisecond)
-	store.Add(&errRec)
+	store.Add(errRec.TraceID, errRec.Interesting(), &errRec)
 	for i := byte(2); i <= 9; i++ {
 		r := mk(i, "ok", "default", time.Duration(i)*time.Millisecond)
-		store.Add(&r)
+		store.Add(r.TraceID, r.Interesting(), &r)
 	}
 
 	// The error trace is long gone from the 4-slot recent ring but
@@ -198,7 +199,7 @@ func TestSpanStoreFiltersAndPinning(t *testing.T) {
 		t.Fatalf("pinned error trace lost: %+v ok=%v", got, ok)
 	}
 
-	all := store.Snapshot(Filter{})
+	all := store.Snapshot(0, nil)
 	if len(all) != 5 { // 4 recent + 1 pinned
 		t.Fatalf("snapshot len = %d, want 5", len(all))
 	}
@@ -206,21 +207,21 @@ func TestSpanStoreFiltersAndPinning(t *testing.T) {
 		t.Fatalf("snapshot not newest-first: %+v", all[0].TraceID)
 	}
 
-	if got := store.Snapshot(Filter{Outcome: "error"}); len(got) != 1 || got[0].Tenant != "acme" {
+	if got := store.Snapshot(0, Filter{Outcome: "error"}.Match); len(got) != 1 || got[0].Tenant != "acme" {
 		t.Fatalf("outcome filter: %+v", got)
 	}
-	if got := store.Snapshot(Filter{Tenant: "acme"}); len(got) != 1 {
+	if got := store.Snapshot(0, Filter{Tenant: "acme"}.Match); len(got) != 1 {
 		t.Fatalf("tenant filter: %+v", got)
 	}
-	if got := store.Snapshot(Filter{MinDuration: 9 * time.Millisecond}); len(got) != 2 {
+	if got := store.Snapshot(0, Filter{MinDuration: 9 * time.Millisecond}.Match); len(got) != 2 {
 		t.Fatalf("minDuration filter kept %d, want 2 (the 9ms ok + 50ms error)", len(got))
 	}
-	if got := store.Snapshot(Filter{Limit: 2}); len(got) != 2 {
+	if got := store.Snapshot(2, nil); len(got) != 2 {
 		t.Fatalf("limit: %d", len(got))
 	}
 
-	var store2 *SpanStore
-	store2.Add(&errRec)
+	var store2 *obs.Ring[[16]byte, TraceRecord]
+	store2.Add(errRec.TraceID, errRec.Interesting(), &errRec)
 	if _, ok := store2.Lookup(errRec.TraceID); ok || store2.Len() != 0 {
 		t.Fatal("nil store not inert")
 	}
