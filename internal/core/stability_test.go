@@ -9,63 +9,124 @@ import (
 	"sync"
 	"testing"
 
+	"robustperiod/internal/detect"
+	"robustperiod/internal/synthetic"
 	"robustperiod/internal/wavelet"
 )
 
-// TestDetectWindowOffsetStability locks in the boundary-fallback fix:
+// TestDetectWindowOffsetStability locks in the boundary fallback:
 // sliding a fixed-size window along a stationary periodic series must
 // give (nearly) the same answer at every offset, regardless of the
-// phase at the window edges. Before the reflection fallback, up to
-// half the offsets failed outright.
+// phase at the window edges, and the pure-circular ablation must do
+// measurably worse. Before the reflection fallback, up to half the
+// offsets failed outright. The 4096-point windows hold a period-640
+// sine at level 9, the deepest, which must keep its retry where
+// boundaryRetry skips the shallow levels.
 func TestDetectWindowOffsetStability(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	long := make([]float64, 3000)
-	for i := range long {
-		long[i] = math.Sin(2*math.Pi*float64(i)/80) + 0.1*rng.NormFloat64()
+	for _, c := range []struct {
+		n, step, period, length int
+		seed                    int64
+	}{
+		{512, 37, 80, 3000, 9},
+		{4096, 211, 640, 4096 + 77*211, 3},
+	} {
+		rng := rand.New(rand.NewSource(c.seed))
+		long := make([]float64, c.length)
+		for i := range long {
+			long[i] = math.Sin(2*math.Pi*float64(i)/float64(c.period)) + 0.1*rng.NormFloat64()
+		}
+		misses := func(opts Options) (fail, total int) {
+			for off := 0; off+c.n <= len(long); off += c.step {
+				total++
+				res, err := Detect(long[off:off+c.n], opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(res.Periods) != 1 || !containsNear(res.Periods, c.period, 0.04) {
+					fail++
+				}
+			}
+			return fail, total
+		}
+		fail, total := misses(Options{})
+		failCirc, _ := misses(Options{CircularBoundary: true})
+		t.Logf("N=%d: mis-detected offsets: default %d/%d, circular only %d/%d", c.n, fail, total, failCirc, total)
+		if fail > total/20 {
+			t.Errorf("N=%d: %d/%d window offsets mis-detected", c.n, fail, total)
+		}
+		if failCirc <= fail {
+			t.Errorf("N=%d: circular-only mis-detected %d/%d offsets, no more than the default's %d", c.n, failCirc, total, fail)
+		}
 	}
-	fail := 0
-	total := 0
-	for off := 0; off+512 <= len(long); off += 37 {
-		total++
-		res, err := Detect(long[off:off+512], Options{})
+}
+
+// TestBoundaryRuleSkipsNoVerdict is the oracle for boundaryRetry: on
+// every selected level that failed validation and that the rule kept
+// from its reflection retry, running that retry by hand — the level's
+// reflection-extended coefficients through detect.Single over its
+// passband — must come back non-periodic as well. Otherwise skipping
+// the retry changed a verdict. The corpus spans the lengths where the
+// rule acts (N = 1024–8192) with clean, noisy, two-period and
+// aperiodic series, plus white noise and the cloud surrogates. It
+// holds one level that only the retry validates (N = 2048, periods
+// 24 and 168, level 3, whose boundary is 2.4% of N), so a rule that
+// skipped levels with a boundary under 5% or 10% of N fails here.
+func TestBoundaryRuleSkipsNoVerdict(t *testing.T) {
+	f, err := wavelet.NewFilter(wavelet.Daub8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const perSetting = 7
+	var corpus []synthetic.Labeled
+	for i, n := range []int{1024, 2048, 4096, 8192} {
+		seed := int64(4040 + 10*i)
+		corpus = append(corpus, synthetic.SinCorpus(perSetting, n, synthetic.Sine, []int{100}, 0.1, 0.01, seed)...)
+		corpus = append(corpus, synthetic.SinCorpus(perSetting, n, synthetic.Sine, []int{100}, 2, 0.2, seed+1)...)
+		corpus = append(corpus, synthetic.SinCorpus(perSetting, n, synthetic.Sine, []int{24, 168}, 0.5, 0.05, seed+2)...)
+		corpus = append(corpus, synthetic.SinCorpus(perSetting, n, synthetic.Sine, nil, 1, 0.05, seed+3)...)
+		rng := rand.New(rand.NewSource(seed + 4))
+		for range 2 {
+			x := make([]float64, n)
+			for k := range x {
+				x[k] = rng.NormFloat64()
+			}
+			corpus = append(corpus, synthetic.Labeled{Name: "noise", X: x})
+		}
+	}
+	corpus = append(corpus, synthetic.CloudAll(1)...)
+
+	skipped := 0
+	for _, s := range corpus {
+		n := len(s.X)
+		res, err := Detect(s.X, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ok := false
-		for _, p := range res.Periods {
-			if p >= 77 && p <= 83 {
-				ok = true
+		var rm *wavelet.MODWT
+		for _, lv := range res.Levels {
+			if !lv.Selected || lv.Detection.Periodic || boundaryRetry(n, f, lv.Level) {
+				continue
+			}
+			skipped++
+			if rm == nil {
+				if rm, err = wavelet.TransformReflected(res.Preprocessed, f, len(res.Levels)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			kLo, kHi := Passband(n, lv.Level)
+			det, err := detect.Single(rm.W[lv.Level-1], kLo, kHi, detect.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if det.Periodic {
+				t.Errorf("%s (N=%d) level %d: skipped retry would have found period %d", s.Name, n, lv.Level, det.Final)
 			}
 		}
-		if len(res.Periods) != 1 || !ok {
-			fail++
-		}
 	}
-	if fail > total/20 {
-		t.Errorf("%d/%d window offsets mis-detected", fail, total)
+	if skipped < len(corpus) {
+		t.Fatalf("the rule skipped %d retries over %d series, fewer than one a series: the oracle checks too little", skipped, len(corpus))
 	}
-	// The pure-circular ablation must be measurably worse — this is
-	// what the fallback exists for. (If this ever stops holding, the
-	// fallback can be retired.)
-	failCirc := 0
-	for off := 0; off+512 <= len(long); off += 37 {
-		res, err := Detect(long[off:off+512], Options{CircularBoundary: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ok := false
-		for _, p := range res.Periods {
-			if p >= 77 && p <= 83 {
-				ok = true
-			}
-		}
-		if !ok {
-			failCirc++
-		}
-	}
-	if failCirc <= fail {
-		t.Logf("circular ablation no longer worse (%d vs %d) — fallback may be unnecessary", failCirc, fail)
-	}
+	t.Logf("%d series, %d skipped retries", len(corpus), skipped)
 }
 
 // TestDetectParallelMatchesSequential verifies that running levels and

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"robustperiod/internal/trace"
+	"robustperiod/internal/wavelet"
 )
 
 // TestTracedDetectionIdentical pins the tracing layer's observability
@@ -125,4 +126,43 @@ func stageNames(s *trace.Summary) []string {
 		names[i] = st.Name
 	}
 	return names
+}
+
+// TestTraceCountsBoundaryRetries checks the periodogram stage's
+// boundary_retries counter on an N=4096 detect: it counts exactly the
+// selected levels that failed on the circular transform and whose
+// boundary, L_j − 1, is at least 1% of N. The series has rejected
+// levels on both sides of that line.
+func TestTraceCountsBoundaryRetries(t *testing.T) {
+	const n = 4096
+	x := paperSynthetic(n, []int{24, 168}, 2, 0.05, 5)
+	res, err := Detect(x, Options{Trace: trace.New()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	circ, err := Detect(x, Options{CircularBoundary: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := wavelet.NewFilter(wavelet.Daub8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, skipped := int64(0), 0
+	for _, lv := range circ.Levels {
+		if !lv.Selected || lv.Detection.Periodic {
+			continue
+		}
+		if 100*(f.EquivalentWidth(lv.Level)-1) >= n {
+			want++
+		} else {
+			skipped++
+		}
+	}
+	if want == 0 || skipped == 0 {
+		t.Fatalf("%d rejected levels retried and %d skipped; the test needs both", want, skipped)
+	}
+	if got := res.Trace.Stage(trace.StagePeriodogram).Counters[trace.CounterBoundaryRetries]; got != want {
+		t.Errorf("boundary_retries = %d, want %d", got, want)
+	}
 }

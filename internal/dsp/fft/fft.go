@@ -12,8 +12,8 @@
 // series of half its length. Inverse transforms conjugate around the
 // forward ones, so no plan holds a second table.
 //
-// Conventions: FFT computes X[k] = Σ_t x[t]·exp(-2πi·kt/N) (no
-// normalization); IFFT divides by N so IFFT(FFT(x)) == x.
+// Convention: Transform computes X[k] = Σ_t x[t]·exp(-2πi·kt/N), with
+// no normalization.
 package fft
 
 import (
@@ -23,50 +23,14 @@ import (
 	"sync"
 )
 
-// FFT returns the forward discrete Fourier transform of x. The input
-// is not modified. Any length is supported: power-of-two lengths use
-// radix-2 Cooley-Tukey, other lengths use Bluestein's algorithm.
-// An empty input yields an empty output.
-func FFT(x []complex128) []complex128 {
-	out := make([]complex128, len(x))
-	copy(out, x)
-	Transform(out)
-	return out
-}
-
-// IFFT returns the inverse discrete Fourier transform of x, normalized
-// by 1/N. The input is not modified.
-func IFFT(x []complex128) []complex128 {
-	out := make([]complex128, len(x))
-	copy(out, x)
-	InverseTransform(out)
-	return out
-}
-
-// Transform performs an in-place forward DFT of x.
+// Transform performs an in-place forward DFT of x. Any length is
+// supported: power-of-two lengths use radix-2 Cooley-Tukey, other
+// lengths use Bluestein's algorithm.
 func Transform(x []complex128) {
 	if len(x) <= 1 {
 		return
 	}
 	planFor(len(x)).transform(x)
-}
-
-// InverseTransform performs an in-place inverse DFT of x (with 1/N
-// normalization), as the conjugate of the forward transform of the
-// conjugate.
-func InverseTransform(x []complex128) {
-	n := len(x)
-	if n <= 1 {
-		return
-	}
-	for i, v := range x {
-		x[i] = cmplx.Conj(v)
-	}
-	planFor(n).transform(x)
-	inv := 1 / float64(n)
-	for i, v := range x {
-		x[i] = complex(real(v)*inv, -imag(v)*inv)
-	}
 }
 
 // plan holds what every transform of one length n can reuse. Building
@@ -273,26 +237,6 @@ func (p *plan) bluestein(x []complex128) {
 		x[t] = cmplx.Conj(a[t]) * c
 	}
 	p.work.Put(buf)
-}
-
-// FFTReal returns the DFT of a real-valued series as a full-length
-// complex spectrum. Even lengths compute the half spectrum with one
-// complex transform of half the length and fill the rest by conjugate
-// symmetry; odd lengths run the complex transform.
-func FFTReal(x []float64) []complex128 {
-	n := len(x)
-	if n%2 == 1 {
-		return complexTransform(x)
-	}
-	out := make([]complex128, n)
-	if n == 0 {
-		return out
-	}
-	halfSpectrum(x, out[:n/2+1])
-	for k := 1; k < n/2; k++ {
-		out[n-k] = cmplx.Conj(out[k])
-	}
-	return out
 }
 
 func complexTransform(x []float64) []complex128 {

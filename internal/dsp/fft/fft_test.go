@@ -10,6 +10,51 @@ import (
 	"testing/quick"
 )
 
+// FFT returns the forward DFT of x, leaving x as it is: the tests'
+// entry point to Transform.
+func FFT(x []complex128) []complex128 {
+	out := make([]complex128, len(x))
+	copy(out, x)
+	Transform(out)
+	return out
+}
+
+// IFFT returns the inverse DFT of x normalized by 1/N, so that
+// IFFT(FFT(x)) == x, as the conjugate of the forward transform of the
+// conjugate.
+func IFFT(x []complex128) []complex128 {
+	out := make([]complex128, len(x))
+	for i, v := range x {
+		out[i] = cmplx.Conj(v)
+	}
+	Transform(out)
+	inv := 1 / float64(len(x))
+	for i, v := range out {
+		out[i] = complex(real(v)*inv, -imag(v)*inv)
+	}
+	return out
+}
+
+// FFTReal returns the DFT of a real series as a full-length spectrum:
+// the half spectrum from the production real path, mirrored by
+// conjugate symmetry at even lengths, and the complex transform at odd
+// ones. FuzzFFTReal holds it to Transform.
+func FFTReal(x []float64) []complex128 {
+	n := len(x)
+	if n%2 == 1 {
+		return complexTransform(x)
+	}
+	out := make([]complex128, n)
+	if n == 0 {
+		return out
+	}
+	halfSpectrum(x, out[:n/2+1])
+	for k := 1; k < n/2; k++ {
+		out[n-k] = cmplx.Conj(out[k])
+	}
+	return out
+}
+
 // naiveDFT is the O(N²) reference transform.
 func naiveDFT(x []complex128, inverse bool) []complex128 {
 	n := len(x)

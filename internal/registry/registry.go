@@ -64,8 +64,9 @@ func TraceStages() []string {
 // diagnostics, not Prometheus families; they surface in Result.Trace
 // and the ?debug=1 response body.
 const (
-	CounterSolverIters    = "solver_iters"    // Newton/IRLS/ADMM iterations across all per-frequency solves
-	CounterPrefilterSkips = "prefilter_skips" // frequencies certified below the Fisher floor and skipped
+	CounterSolverIters     = "solver_iters"     // Newton/IRLS/ADMM iterations across all per-frequency solves
+	CounterPrefilterSkips  = "prefilter_skips"  // frequencies certified below the Fisher floor and skipped
+	CounterBoundaryRetries = "boundary_retries" // rejected levels re-detected on the reflection-extended MODWT
 )
 
 // CounterSolverWarmHits names the counter of the removed frequency
@@ -76,7 +77,7 @@ const CounterSolverWarmHits = "solver_warm_hits"
 
 // TraceCounters lists the canonical per-stage trace counter names.
 func TraceCounters() []string {
-	return []string{CounterSolverIters, CounterPrefilterSkips}
+	return []string{CounterSolverIters, CounterPrefilterSkips, CounterBoundaryRetries}
 }
 
 // Span names of the serving layer (internal/trace span recordings).

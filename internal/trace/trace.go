@@ -40,8 +40,9 @@ func PipelineStages() []string { return registry.TraceStages() }
 // The periodogram solver engine reports its staged-solve diagnostics
 // under these keys (see README "Periodogram performance").
 const (
-	CounterSolverIters    = registry.CounterSolverIters    // Newton/IRLS/ADMM iterations, summed over solves
-	CounterPrefilterSkips = registry.CounterPrefilterSkips // frequencies certified below the Fisher floor
+	CounterSolverIters     = registry.CounterSolverIters     // Newton/IRLS/ADMM iterations, summed over solves
+	CounterPrefilterSkips  = registry.CounterPrefilterSkips  // frequencies certified below the Fisher floor
+	CounterBoundaryRetries = registry.CounterBoundaryRetries // levels retried on the reflection-extended MODWT
 )
 
 // Stage is one merged stage accumulator of a Summary.

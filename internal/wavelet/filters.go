@@ -184,24 +184,11 @@ func NewFilter(k Kind) (*Filter, error) {
 	return &Filter{kind: k, g: g, h: h}, nil
 }
 
-// MustFilter is NewFilter that panics on error; for use with the
-// package constants.
-func MustFilter(k Kind) *Filter {
-	f, err := NewFilter(k)
-	if err != nil {
-		panic(err)
-	}
-	return f
-}
-
 // Kind returns the filter family identifier.
 func (f *Filter) Kind() Kind { return f.kind }
 
 // Len returns the number of taps L of the base filter.
 func (f *Filter) Len() int { return len(f.g) }
-
-// Scaling returns a copy of the scaling (low-pass) coefficients.
-func (f *Filter) Scaling() []float64 { return append([]float64(nil), f.g...) }
 
 // Wavelet returns a copy of the wavelet (high-pass) coefficients.
 func (f *Filter) Wavelet() []float64 { return append([]float64(nil), f.h...) }
